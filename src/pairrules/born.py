@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .pairs import Pair, StandardForm, bilinear_mul
 
 
@@ -82,6 +84,27 @@ def h_eval(h: HFunction, a: Pair) -> float:
         assert h.beta is not None
         return _power(a.c1, h.alpha) * _power(a.c2, h.beta)
     return _power(a.c1, h.alpha)
+
+
+def h_array(form: StandardForm, alpha, beta, x1, x2) -> np.ndarray:
+    """Array form of h_eval at the points (x1, x2), broadcasting the parameters.
+
+    NaN marks the points where h_eval raises DomainError, and an overflow
+    gives inf.  beta is ignored by the forms that take none.
+    """
+
+    def power(base, exponent):
+        mag = np.abs(base)
+        return np.where((mag == 0.0) & (exponent < 0), np.nan, mag ** exponent)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if form is StandardForm.C1:
+            return power(np.sqrt(x1 * x1 + x2 * x2), alpha)
+        if form is StandardForm.C2:
+            return np.where(x1 == 0.0, np.nan, power(x1, alpha) * np.exp(beta * x2 / x1))
+        if form is StandardForm.C3:
+            return power(x1, alpha) * power(x2, beta)
+        return power(x1, alpha)
 
 
 def multiplicativity_residual(h: HFunction, a: Pair, b: Pair) -> float:

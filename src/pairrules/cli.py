@@ -1,8 +1,8 @@
 """Command-line front end for the verification pipeline.
 
 Exit codes: 0 success, 2 non-associative input to classify/reduce, 3 derivation
-table deviates from the expected verdicts, 64 malformed input, 65 missing
-amplitude entry.
+table deviates from the expected verdicts or reaches none, 64 malformed input,
+65 missing amplitude entry.
 """
 
 from __future__ import annotations
@@ -161,14 +161,20 @@ def _cmd_solve_reciprocity(args, cfg: RunConfig) -> int:
 def _cmd_eliminate(args, cfg: RunConfig) -> int:
     form = _parse_form(args.form)
     op = _parse_operator(args.operator)
-    verdict = eliminate(form, op, tol=cfg.tolerance, seed=cfg.rng_seed)
+    try:
+        verdict = eliminate(form, op, tol=cfg.tolerance, seed=cfg.rng_seed)
+    except RuntimeError as exc:
+        raise CliError(str(exc), EXIT_DERIVE_DEVIATION) from exc
     text = f"{form.value} / {name_of(op)} -> {verdict.verdict}"
     _emit({"verdict": verdict.to_json()}, text, cfg, args.out)
     return EXIT_OK
 
 
 def _cmd_derive(args, cfg: RunConfig) -> int:
-    report = run_full_elimination(tol=cfg.tolerance, seed=cfg.rng_seed)
+    try:
+        report = run_full_elimination(tol=cfg.tolerance, seed=cfg.rng_seed)
+    except RuntimeError as exc:
+        raise CliError(str(exc), EXIT_DERIVE_DEVIATION) from exc
     _emit({"report": report.to_json()}, report.render_text(), cfg, args.out)
     return EXIT_OK if report.matches_expected else EXIT_DERIVE_DEVIATION
 

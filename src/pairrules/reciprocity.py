@@ -6,6 +6,11 @@ products, R(a * b) = R(b) * R(a).  Solving that constraint per standard form,
 then demanding that the normalization premise h(a) + h(b) = 1 imply
 h((a * R(a)) + (b * R(b))) = 1, eliminates every candidate except complex
 multiplication with conjugation and exponent alpha = 2.
+
+One numpy kernel tests the implication over blocks of exponent rows.  No
+premise draw depends on the exponents, so each cell draws once and shares the
+draws across its grid and polish.  Unreachable premises are masked out, and
+an undefined h(c) counts as a residual of 1.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import sympy as sp
 
 from .pairs import Pair, StandardForm, bilinear_mul, pair_add
-from .born import DomainError, HFunction, admissible, h_eval, solution_family_for
+from .born import DomainError, HFunction, admissible, h_array, h_eval, solution_family_for
 
 DEFAULT_TOL = 1e-9
 
@@ -129,6 +133,7 @@ class ReciprocitySolutions:
 
 def _coefficient_equations(form: StandardForm):
     """The 8 polynomial constraints on R1..R4 from matching monomial coefficients."""
+    import sympy as sp
     R1, R2, R3, R4 = sp.symbols("R1 R2 R3 R4")
     a1, a2, b1, b2 = sp.symbols("a1 a2 b1 b2")
     g = [sp.Rational(int(x)) for x in form.gamma.as_tuple()]
@@ -161,6 +166,7 @@ def solve_reciprocity(form: StandardForm) -> ReciprocitySolutions:
     """
     if form not in _PAPER_TABLE:
         raise ValueError(f"reciprocity analysis applies to C1, C2, C3; got {form.value}")
+    import sympy as sp  # imported here: only this solve needs it, and it is slow to load
     syms, eqs = _coefficient_equations(form)
     sols = sp.solve(eqs, list(syms), dict=True)
 
@@ -264,11 +270,12 @@ class RejectedCounterexample:
         """Recompute the certificate from scratch: premise holds, conclusion fails."""
         try:
             lhs = h_eval(self.h, self.a) + h_eval(self.h, self.b)
-            c = repeated_measurement_pair(self.a, self.b, r, self.h.form)
-            rhs = h_eval(self.h, c)
+        except DomainError:
+            return False  # h undefined at a premise pair: no premise holds
+        try:
+            rhs = h_eval(self.h, repeated_measurement_pair(self.a, self.b, r, self.h.form))
         except DomainError:
             rhs = 0.0
-            lhs = h_eval(self.h, self.a) + h_eval(self.h, self.b)
         return abs(lhs - 1.0) < tol and abs(rhs - 1.0) > 0.1
 
     def to_json(self) -> dict:
@@ -307,115 +314,115 @@ def _make_h(form: StandardForm, exps: tuple[float, ...]) -> HFunction:
     return fam.make(exps[0])
 
 
-def _scaled_to(form: StandardForm, exps: tuple[float, ...], x: Pair, p: float) -> Optional[Pair]:
-    """Rescale x so that h(x) = p, if a multiplicative scaling can reach it."""
-    h = _make_h(form, exps)
-    try:
-        h0 = h_eval(h, x)
-    except DomainError:
-        return None
-    if h0 <= 0.0:
-        return None
-    if form is StandardForm.C1:
-        total = exps[0]
-    elif form is StandardForm.C3:
-        total = exps[0] + exps[1]
-    else:  # C2: the exponential factor is scale-invariant
-        total = exps[0]
-    if abs(total) > 1e-6:
-        s = (p / h0) ** (1.0 / total)
-        return Pair(s * x.c1, s * x.c2)
-    if form is StandardForm.C3 and abs(exps[0]) > 1e-6:
-        s = (p / h0) ** (1.0 / exps[0])
-        return Pair(s * x.c1, x.c2)
-    if form is StandardForm.C3 and abs(exps[1]) > 1e-6:
-        s = (p / h0) ** (1.0 / exps[1])
-        return Pair(x.c1, s * x.c2)
-    return None
+# Exponent rows per kernel block: one block for the 1088-row C3 grid costs ~18 MB more.
+_CHUNK = 64
 
 
-def _seeded_premise_pairs(
-    form: StandardForm,
-    r: ReciprocityOp,
-    exps: tuple[float, ...],
-    rng: random.Random,
-    n: int,
-) -> list[tuple[Pair, Pair]]:
-    """Premise-satisfying (a, b) built from the known degenerate constructions.
+def _signed(rng: random.Random, lo: float) -> float:
+    return rng.uniform(lo, 2.0) * rng.choice((-1.0, 1.0))
 
-    These force the combined weight c into corners (such as c = (0, 0)) that
-    uniform sampling essentially never hits, and they are exactly the cases
-    that disqualify the rejected (form, operator) cells.
-    """
-    out: list[tuple[Pair, Pair]] = []
-    h = _make_h(form, exps)
 
+def _random_draws(rng: random.Random, n: int) -> np.ndarray:
+    """Rows (p, xa1, xa2, xb1, xb2): points to rescale to h(a) = p and h(b) = 1 - p."""
+    rows = [(rng.uniform(0.05, 0.95), *(_signed(rng, 0.2) for _ in range(4))) for _ in range(n)]
+    return np.array(rows, dtype=float).reshape(n, 5)
+
+
+def _seeded_draws(form: StandardForm, rng: random.Random, n: int) -> np.ndarray:
+    """Rows for the degenerate constructions: a unit direction (C1), a point
+    and a balance ratio t (C3), or a point (C2)."""
+    rows = []
     for _ in range(n):
         if form is StandardForm.C1:
-            # b = (a2, -a1) shares h with a, so h(a) = 1/2 meets the premise.
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            a = _scaled_to(form, exps, Pair(math.cos(theta), math.sin(theta)), 0.5)
-            if a is None:
-                continue
-            out.append((a, Pair(a.c2, -a.c1)))
+            rows.append((math.cos(theta), math.sin(theta)))
         elif form is StandardForm.C3:
-            alpha, beta = exps
-            # Mirror family b = (b1, -a1 a2 / b1) with b1 = a1: h(b) = h(a).
-            x = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-            y = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-            a = _scaled_to(form, exps, Pair(x, y), 0.5)
-            if a is not None:
-                out.append((a, Pair(a.c1, -a.c2)))
-            # The balanced construction a1 = b2 = r t, a2 = b1 = r / t.
-            t = rng.uniform(0.5, 2.0)
-            denom = t ** (alpha - beta) + t ** (beta - alpha)
-            if abs(alpha + beta) > 1e-6 and denom > 0:
-                rr = (1.0 / denom) ** (1.0 / (alpha + beta))
-                out.append((Pair(rr * t, rr / t), Pair(rr / t, rr * t)))
-        else:  # C2
-            x = Pair(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
-            a = _scaled_to(form, exps, x, 0.5)
-            if a is None:
-                continue
-            try:
-                hb = h_eval(h, Pair(-a.c1, a.c2))
-            except DomainError:
-                continue
-            if abs(hb - 0.5) < 1e-12:
-                out.append((a, Pair(-a.c1, a.c2)))
-
-    checked = []
-    for a, b in out:
-        try:
-            if abs(h_eval(h, a) + h_eval(h, b) - 1.0) < 1e-9:
-                checked.append((a, b))
-        except DomainError:
-            continue
-    return checked
+            rows.append((_signed(rng, 0.5), _signed(rng, 0.5), rng.uniform(0.5, 2.0)))
+        else:
+            rows.append((rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)))
+    return np.array(rows, dtype=float)
 
 
-def _random_premise_pairs(
-    form: StandardForm,
-    exps: tuple[float, ...],
-    rng: random.Random,
-    n: int,
-) -> list[tuple[Pair, Pair]]:
-    out = []
-    for _ in range(n):
-        p = rng.uniform(0.05, 0.95)
-        xa = Pair(
-            rng.uniform(0.2, 2.0) * rng.choice((-1.0, 1.0)),
-            rng.uniform(0.2, 2.0) * rng.choice((-1.0, 1.0)),
+def _residual_draws(form: StandardForm, rng: random.Random, samples: int) -> tuple:
+    """(seeded, random) draws of one residual evaluation; the random ones are drawn first."""
+    rand = _random_draws(rng, samples)
+    return _seeded_draws(form, rng, max(8, samples // 4)), rand
+
+
+def _scaled_to(form: StandardForm, alpha, beta, x1, x2, p):
+    """Rescale (x1, x2) to h = p per exponent row; also the mask where scaling reaches p.
+
+    C2's exponential factor is scale-invariant.  When alpha + beta = 0, C3
+    scales the one component with a nonzero exponent."""
+    h0 = h_array(form, alpha, beta, x1, x2)
+    e = alpha + beta if form is StandardForm.C3 else alpha
+    use1 = use2 = np.abs(e) > 1e-6
+    if form is StandardForm.C3:
+        first = ~use1 & (np.abs(alpha) > 1e-6)
+        second = ~use1 & ~first & (np.abs(beta) > 1e-6)
+        e = np.where(first, alpha, np.where(second, beta, e))
+        use1, use2 = use1 | first, use2 | second
+    s = (p / h0) ** (1.0 / e)
+    ok = (h0 > 0.0) & (use1 | use2)
+    return np.where(use1, s * x1, x1), np.where(use2, s * x2, x2), ok
+
+
+def _premise_pairs(form: StandardForm, exps: np.ndarray, seeded: np.ndarray, rand: np.ndarray):
+    """Pairs (a1, a2, b1, b2) × rows × pairs with h(a) + h(b) = 1, and where they exist.
+
+    The seeded pairs come first: degenerate constructions forcing c into
+    corners such as c = (0, 0) that uniform sampling essentially never hits,
+    exactly the cases that disqualify the rejected cells."""
+    alpha, beta = exps[:, :1], exps[:, 1:]
+    a1, a2, ok = _scaled_to(form, alpha, beta, seeded[:, 0], seeded[:, 1], 0.5)
+    if form is StandardForm.C1:
+        b1, b2 = a2, -a1  # shares h with a, so h(a) = 1/2 meets the premise
+    elif form is StandardForm.C3:
+        # Mirror family b = (a1, -a2); beside it, balanced a1 = b2 = r t, a2 = b1 = r / t.
+        t, total = seeded[:, 2], alpha + beta
+        denom = t ** (alpha - beta) + t ** (beta - alpha)
+        rr = (1.0 / denom) ** (1.0 / total)
+        bal = (np.abs(total) > 1e-6) & (denom > 0)
+        a1, a2, b1, b2, ok = (
+            np.stack(both, axis=-1).reshape(len(exps), -1)
+            for both in ((a1, rr * t), (a2, rr / t), (a1, rr / t), (-a2, rr * t), (ok, bal))
         )
-        xb = Pair(
-            rng.uniform(0.2, 2.0) * rng.choice((-1.0, 1.0)),
-            rng.uniform(0.2, 2.0) * rng.choice((-1.0, 1.0)),
+    else:  # C2: b = (-a1, a2), where the exponential factor lets h(b) = h(a)
+        b1, b2 = -a1, a2
+        ok &= np.abs(h_array(form, alpha, beta, b1, b2) - 0.5) < 1e-12
+    premise = h_array(form, alpha, beta, a1, a2) + h_array(form, alpha, beta, b1, b2)
+    ok &= np.abs(premise - 1.0) < 1e-9
+    ra1, ra2, ok_a = _scaled_to(form, alpha, beta, rand[:, 1], rand[:, 2], rand[:, 0])
+    rb1, rb2, ok_b = _scaled_to(form, alpha, beta, rand[:, 3], rand[:, 4], 1.0 - rand[:, 0])
+    pairs = np.concatenate([np.stack((a1, a2, b1, b2)), np.stack((ra1, ra2, rb1, rb2))], axis=2)
+    return pairs, np.concatenate([ok, ok_a & ok_b], axis=1)
+
+
+def _conclusion(form: StandardForm, r: ReciprocityOp, exps: np.ndarray, pairs: np.ndarray):
+    """h(c) at c = (a * R(a)) + (b * R(b)) for every pair; NaN where undefined."""
+    g = form.gamma.as_tuple()
+
+    def times_rev(x1, x2):
+        y1, y2 = r.r1 * x1 + r.r2 * x2, r.r3 * x1 + r.r4 * x2
+        return (
+            g[0] * x1 * y1 + g[1] * x1 * y2 + g[2] * x2 * y1 + g[3] * x2 * y2,
+            g[4] * x1 * y1 + g[5] * x1 * y2 + g[6] * x2 * y1 + g[7] * x2 * y2,
         )
-        a = _scaled_to(form, exps, xa, p)
-        b = _scaled_to(form, exps, xb, 1.0 - p)
-        if a is None or b is None:
-            continue
-        out.append((a, b))
+
+    (p1, p2), (q1, q2) = times_rev(pairs[0], pairs[1]), times_rev(pairs[2], pairs[3])
+    return h_array(form, exps[:, :1], exps[:, 1:], p1 + q1, p2 + q2)
+
+
+def _residuals(form: StandardForm, r: ReciprocityOp, exps: np.ndarray, draws: tuple) -> np.ndarray:
+    """implication_residual for every exponent row on shared draws; NaN for None."""
+    out = np.empty(len(exps))
+    with np.errstate(all="ignore"):  # masked entries may divide by zero or overflow
+        for lo in range(0, len(exps), _CHUNK):
+            rows = exps[lo : lo + _CHUNK]
+            pairs, ok = _premise_pairs(form, rows, *draws)
+            dev = np.abs(_conclusion(form, r, rows, pairs) - 1.0)
+            worst = np.where(ok, np.where(np.isnan(dev), 1.0, dev), 0.0).max(axis=1)
+            out[lo : lo + _CHUNK] = np.where(ok.any(axis=1), worst, np.nan)
     return out
 
 
@@ -431,19 +438,9 @@ def implication_residual(
     A domain error at c counts as a full violation: the probability of the
     combined sequence must exist and equal one.
     """
-    pairs = _random_premise_pairs(form, exps, rng, samples)
-    pairs += _seeded_premise_pairs(form, r, exps, rng, max(8, samples // 4))
-    if not pairs:
-        return None
-    h = _make_h(form, exps)
-    worst = 0.0
-    for a, b in pairs:
-        c = repeated_measurement_pair(a, b, r, form)
-        try:
-            worst = max(worst, abs(h_eval(h, c) - 1.0))
-        except DomainError:
-            worst = max(worst, 1.0)
-    return worst
+    draws = _residual_draws(form, rng, samples)
+    res = _residuals(form, r, np.array([exps], dtype=float), draws)[0]
+    return None if math.isnan(res) else float(res)
 
 
 def _exponent_grid(form: StandardForm) -> list[tuple[float, ...]]:
@@ -458,14 +455,12 @@ def _polish(
     form: StandardForm,
     r: ReciprocityOp,
     start: tuple[float, ...],
-    rng_seed: int,
-    samples: int,
+    draws: tuple[np.ndarray, np.ndarray],
 ) -> tuple[tuple[float, ...], float]:
-    """Compass search refining an exponent candidate; deterministic via a fixed seed."""
+    """Compass search refining an exponent candidate; deterministic via fixed draws."""
 
-    def f(pt: tuple[float, ...]) -> float:
-        res = implication_residual(form, r, pt, random.Random(rng_seed), samples)
-        return 2.0 if res is None else res
+    def f(pt: tuple[float, ...]) -> float:  # NaN, an unreachable premise, never improves
+        return float(_residuals(form, r, np.array([pt]), draws)[0])
 
     pt = start
     best = f(pt)
@@ -513,24 +508,22 @@ def _find_counterexample(
     rng: random.Random,
     tol: float,
 ) -> Optional[RejectedCounterexample]:
-    canonical = {
-        StandardForm.C1: (2.0,),
-        StandardForm.C2: (1.0, 1.0),
-        StandardForm.C3: (1.0, 1.0),
-    }[form]
-    h = _make_h(form, canonical)
-    pairs = _seeded_premise_pairs(form, r, canonical, rng, 64)
-    pairs += _random_premise_pairs(form, canonical, rng, 256)
-    for a, b in pairs:
-        c = repeated_measurement_pair(a, b, r, form)
-        try:
-            rhs = h_eval(h, c)
-        except DomainError:
-            rhs = 0.0
-        lhs = h_eval(h, a) + h_eval(h, b)
-        if abs(lhs - 1.0) < tol and abs(rhs - 1.0) > 0.1:
-            return RejectedCounterexample(a, b, lhs, rhs, h)
-    return None
+    canonical = (2.0,) if form is StandardForm.C1 else (1.0, 1.0)
+    exps = np.array([canonical])
+    seeded = _seeded_draws(form, rng, 64)
+    rand = _random_draws(rng, 256)
+    with np.errstate(all="ignore"):
+        pairs, ok = _premise_pairs(form, exps, seeded, rand)
+        hc = _conclusion(form, r, exps, pairs)[0]
+        alpha, beta = exps[:, :1], exps[:, 1:]
+        lhs = (h_array(form, alpha, beta, *pairs[:2]) + h_array(form, alpha, beta, *pairs[2:]))[0]
+    rhs = np.where(np.isnan(hc), 0.0, hc)
+    fails = np.flatnonzero(ok[0] & (np.abs(lhs - 1.0) < tol) & (np.abs(rhs - 1.0) > 0.1))
+    if not len(fails):
+        return None
+    i = fails[0]  # the first failing pair in draw order
+    a, b = Pair(*pairs[:2, 0, i].tolist()), Pair(*pairs[2:, 0, i].tolist())
+    return RejectedCounterexample(a, b, float(lhs[i]), float(rhs[i]), _make_h(form, canonical))
 
 
 def eliminate(
@@ -549,11 +542,12 @@ def eliminate(
     if not r.invertible:
         return RejectedNonInvertible(r)
 
+    draws = _residual_draws(form, random.Random(seed), samples)
+    grid = _exponent_grid(form)
     candidates: list[tuple[float, ...]] = []
-    for pt in _exponent_grid(form):
-        res = implication_residual(form, r, pt, random.Random(seed), samples)
-        if res is not None and res < 1e-6:
-            pt2, best = _polish(form, r, pt, seed, samples)
+    for pt, res in zip(grid, _residuals(form, r, np.array(grid), draws)):
+        if res < 1e-6:  # NaN, an unreachable premise, never passes
+            pt2, best = _polish(form, r, pt, draws)
             if best < tol and not any(
                 max(abs(x - y) for x, y in zip(pt2, q)) < 1e-3 for q in candidates
             ):
@@ -585,7 +579,7 @@ def eliminate(
             f"no exponents satisfy the implication for {form.value}/{name_of(r)}, "
             "but no counterexample certificate was found"
         )
-    return RejectedCounterexample(cert.a, cert.b, cert.lhs, cert.rhs, cert.h)
+    return cert
 
 
 @dataclass(frozen=True)

@@ -158,3 +158,21 @@ def test_check_symmetries(capsys):
 def test_bad_config_rejected(capsys):
     code, _, err = run(capsys, "classify", "--tol", "-1", *C1)
     assert code == EXIT_MALFORMED
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (("eliminate", "C1", "identity"), "pairrules.cli.eliminate"),
+        (("derive",), "pairrules.reciprocity.eliminate"),
+    ],
+)
+def test_elimination_failure_exits_3_without_traceback(capsys, monkeypatch, argv, target):
+    def no_certificate(*args, **kwargs):
+        raise RuntimeError("no counterexample certificate was found")
+
+    monkeypatch.setattr(target, no_certificate)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: no counterexample certificate was found\n"

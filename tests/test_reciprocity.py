@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from pairrules.born import HFunction
 from pairrules.pairs import Pair, StandardForm
 from pairrules.reciprocity import (
     Accepted,
@@ -233,3 +234,33 @@ def test_name_of_named_operators():
     assert name_of(CONJUGATION) == "conjugation"
     assert name_of(SWAP) == "swap"
     assert name_of(PROJECTION) == "projection"
+
+
+def test_revalidate_is_false_where_h_is_undefined_at_a_premise_pair():
+    h = HFunction(StandardForm.C3, -1.0, 1.0)  # |x1|^-1 |x2|: undefined at x1 = 0
+    cert = RejectedCounterexample(Pair(0.0, 1.0), Pair(1.0, 1.0), 1.0, 0.0, h)
+    assert cert.revalidate(IDENTITY) is False
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 42])
+def test_full_elimination_is_seed_independent(seed):
+    report = run_full_elimination(seed=seed)
+    assert report.deviations == ()
+    verdicts = {(c.form, c.operator_name): c.verdict for c in report.cells}
+    assert {k: v.verdict for k, v in verdicts.items()} == {
+        (StandardForm.N1, "-"): "rejected-inadmissible-exponents",
+        (StandardForm.N2, "-"): "rejected-inadmissible-exponents",
+        (StandardForm.C2, "projection"): "rejected-non-invertible",
+        (StandardForm.C3, "identity"): "rejected-inadmissible-exponents",
+        (StandardForm.C3, "swap"): "rejected-counterexample",
+        (StandardForm.C1, "identity"): "rejected-counterexample",
+        (StandardForm.C1, "conjugation"): "accepted",
+    }
+    assert report.alpha == pytest.approx(2.0, abs=1e-8)
+    accepted = verdicts[(StandardForm.C1, "conjugation")]
+    assert abs(accepted.witness_alpha - accepted.sampled_alpha) < 1e-6
+    got = {tuple(round(x, 6) for x in e) for e in verdicts[(StandardForm.C3, "identity")].exponents}
+    assert got == {(2.0, 0.0), (0.0, 2.0)}
+    for c in report.cells:
+        if isinstance(c.verdict, RejectedCounterexample):
+            assert c.verdict.revalidate(c.operator)
