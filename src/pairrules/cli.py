@@ -1,8 +1,9 @@
 """Command-line front end for the verification pipeline.
 
 Exit codes: 0 success, 2 non-associative input to classify/reduce, 3 derivation
-table deviates from the expected verdicts or reaches none, 64 malformed input,
-65 missing amplitude entry.
+table deviates from the expected verdicts or reaches none, or an internal
+consistency check fails, 64 malformed input or a usage error, 65 missing
+amplitude entry.
 """
 
 from __future__ import annotations
@@ -10,19 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from . import __version__
 from .associativity import NotAssociative, classification_to_json, classify
 from .born import solution_family_for
 from .config import RunConfig
-from .pairs import GammaVector, StandardForm
+from .pairs import DEFAULT_TOL, GammaVector, StandardForm
 from .reciprocity import (
-    CONJUGATION,
-    IDENTITY,
-    PROJECTION,
-    SWAP,
+    OPERATOR_NAMES,
     ReciprocityOp,
     eliminate,
     name_of,
@@ -47,12 +47,7 @@ EXIT_DERIVE_DEVIATION = 3
 EXIT_MALFORMED = 64
 EXIT_MISSING_AMPLITUDE = 65
 
-_NAMED_OPS = {
-    "identity": IDENTITY,
-    "conjugation": CONJUGATION,
-    "swap": SWAP,
-    "projection": PROJECTION,
-}
+_NAMED_OPS = {name: op for op, name in OPERATOR_NAMES.items()}
 
 
 class CliError(Exception):
@@ -110,7 +105,11 @@ def _emit(payload: dict, text: str, cfg: RunConfig, out: Optional[str]) -> None:
 
 def _cmd_classify(args, cfg: RunConfig) -> int:
     g = _parse_gamma(args.gamma)
-    c = classify(g, tol=cfg.tolerance)
+    try:
+        c = classify(g, tol=cfg.tolerance)
+        r = None if isinstance(c, NotAssociative) else reduce_to_standard(c, tol=cfg.tolerance)
+    except RuntimeError as exc:
+        raise CliError(str(exc), EXIT_DERIVE_DEVIATION) from exc
     payload: dict = {"gamma": g.to_json(), "classification": classification_to_json(c)}
     lines = [f"gamma: {g.to_json()}", f"family: {c.family}"]
     if isinstance(c, NotAssociative):
@@ -118,12 +117,10 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
         _emit(payload, "\n".join(lines), cfg, args.out)
         return EXIT_NOT_ASSOCIATIVE
     lines.append(f"params: {c.params()}")
-    r = reduce_to_standard(c, tol=cfg.tolerance)
+    payload["reduction"] = r.to_json()
     if isinstance(r, Inadmissible):
-        payload["reduction"] = r.to_json()
         lines.append(f"reduction: inadmissible ({r.reason})")
     else:
-        payload["reduction"] = r.to_json()
         lines.append(f"standard form: {r.form.value}")
         if r.mu is not None:
             lines.append(f"mu: {r.mu}")
@@ -225,29 +222,66 @@ def _cmd_check_symmetries(args, cfg: RunConfig) -> int:
     return EXIT_OK if rep.passed else 1
 
 
+def _is_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with two changes: a usage error exits EXIT_MALFORMED, since
+    argparse's own code 2 is EXIT_NOT_ASSOCIATIVE here, and a negative number
+    in any form float() reads, such as -1e-05, is an argument, not an option."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
+
+    def _parse_optional(self, arg_string: str):
+        if re.match(r"-[0-9.]", arg_string) and _is_number(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairrules",
         description=(
             "Verification engine for the derivation of Feynman's rules from "
             "pair-valued sequence weights."
         ),
     )
+    # Every subcommand takes --format and --out, and only those of the others
+    # it reads.  Options named after RunConfig fields (dest) configure the run.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--samples", type=int, default=10_000, help="sample count")
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--format", dest="output_format", choices=("text", "json"), default="text")
     common.add_argument("--out", metavar="FILE", default=None, help="write report to FILE")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
+        "--tol", dest="tolerance", metavar="TOL", type=float, default=DEFAULT_TOL,
+        help="numerical tolerance",
+    )
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument(
+        "--seed", dest="rng_seed", metavar="SEED", type=int, default=0, help="random seed"
+    )
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument(
+        "--samples", dest="sample_count", metavar="SAMPLES", type=int, default=10_000,
+        help="sample count",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="classify a gamma vector")
+    p = sub.add_parser(
+        "classify",
+        aliases=["reduce"],
+        parents=[common, tol],
+        help="classify a gamma vector and reduce it to standard form",
+    )
     p.add_argument("gamma", nargs="*", help="eight gamma components")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("reduce", parents=[common], help="reduce a gamma vector to standard form")
-    p.add_argument("gamma", nargs="*")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("solve-h", parents=[common], help="probability solution family for a form")
@@ -260,12 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("form")
     p.set_defaults(func=_cmd_solve_reciprocity)
 
-    p = sub.add_parser("eliminate", parents=[common], help="eliminate one (form, operator) cell")
+    p = sub.add_parser(
+        "eliminate", parents=[common, tol, seed], help="eliminate one (form, operator) cell"
+    )
     p.add_argument("form")
     p.add_argument("operator")
     p.set_defaults(func=_cmd_eliminate)
 
-    p = sub.add_parser("derive", parents=[common], help="run the full elimination")
+    p = sub.add_parser("derive", parents=[common, tol, seed], help="run the full elimination")
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("simulate", parents=[common], help="evaluate sequences from files")
@@ -274,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
-        "check-symmetries", parents=[common], help="verify the sequence combination laws"
+        "check-symmetries",
+        parents=[common, seed, samples],
+        help="verify the sequence combination laws",
     )
     p.set_defaults(func=_cmd_check_symmetries)
 
@@ -284,13 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    given = {f.name for f in fields(RunConfig)} & vars(args).keys()
     try:
-        cfg = RunConfig(
-            tolerance=args.tol,
-            rng_seed=args.seed,
-            sample_count=args.samples,
-            output_format=args.format,
-        )
+        cfg = RunConfig(**{name: getattr(args, name) for name in given})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .pairs import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOL
     rng_seed: int = 0
     sample_count: int = 10_000
     output_format: str = "text"
@@ -22,11 +22,6 @@ class RunConfig:
             raise ValueError("sample_count must be at least 1")
         if self.output_format not in ("text", "json"):
             raise ValueError("output_format must be 'text' or 'json'")
-
-    def spawn_streams(self, n: int) -> list[np.random.Generator]:
-        """Independent deterministic child generators for parallelizable tasks."""
-        seq = np.random.SeedSequence(self.rng_seed)
-        return [np.random.default_rng(s) for s in seq.spawn(n)]
 
     def to_json(self) -> dict:
         return {

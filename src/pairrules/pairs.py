@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+# The one numerical tolerance shared by every stage and the CLI's --tol default.
+DEFAULT_TOL = 1e-9
+
 
 class NonFiniteError(ValueError):
     """Raised when a constructor receives a NaN or infinite component."""
@@ -104,6 +107,63 @@ STANDARD_GAMMAS: dict[StandardForm, GammaVector] = {
 }
 
 
+@dataclass(frozen=True)
+class LinearMap:
+    """A real linear map [[s, t], [u, v]] on pair space: a regrading or a reciprocity operator."""
+
+    s: float
+    t: float
+    u: float
+    v: float
+
+    def __post_init__(self) -> None:
+        _require_finite(type(self).__name__, self.s, self.t, self.u, self.v)
+
+    @property
+    def det(self) -> float:
+        return self.s * self.v - self.t * self.u
+
+    def norm_inf(self) -> float:
+        return max(abs(self.s), abs(self.t), abs(self.u), abs(self.v))
+
+    @property
+    def invertible(self) -> bool:
+        """|det| above DEFAULT_TOL, scaled like det by max(1, ||m||_inf^2)."""
+        return abs(self.det) > DEFAULT_TOL * max(1.0, self.norm_inf() ** 2)
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.s, self.t, self.u, self.v)
+
+    def apply(self, x1, x2):
+        """The image of (x1, x2); the components may be floats or numpy arrays."""
+        return self.s * x1 + self.t * x2, self.u * x1 + self.v * x2
+
+    @classmethod
+    def identity(cls):
+        return cls(1.0, 0.0, 0.0, 1.0)
+
+    def inverse(self):
+        d = self.det
+        return type(self)(self.v / d, -self.t / d, -self.u / d, self.s / d)
+
+    def compose(self, other: "LinearMap"):
+        """Matrix product self . other: apply `other` first, then self."""
+        return type(self)(
+            self.s * other.s + self.t * other.u,
+            self.s * other.t + self.t * other.v,
+            self.u * other.s + self.v * other.u,
+            self.u * other.t + self.v * other.v,
+        )
+
+    def to_json(self) -> list[list[float]]:
+        return [[self.s, self.t], [self.u, self.v]]
+
+    @classmethod
+    def from_json(cls, data):
+        (s, t), (u, v) = data
+        return cls(float(s), float(t), float(u), float(v))
+
+
 def pair_add(a: Pair, b: Pair) -> Pair:
     """Componentwise sum: the unique parallel-combination rule."""
     return Pair(a.c1 + b.c1, a.c2 + b.c2)
@@ -118,12 +178,22 @@ def scalar_mul(r: float, a: Pair) -> Pair:
     return Pair(r * a.c1, r * a.c2)
 
 
+def _product(g, x1, x2, y1, y2):
+    """(x1, x2) * (y1, y2) under the eight coefficients g, in g1..g8 order.
+
+    The one statement of the bilinear product: the components may be floats,
+    numpy arrays or sympy expressions.
+    """
+    g1, g2, g3, g4, g5, g6, g7, g8 = g
+    return (
+        g1 * x1 * y1 + g2 * x1 * y2 + g3 * x2 * y1 + g4 * x2 * y2,
+        g5 * x1 * y1 + g6 * x1 * y2 + g7 * x2 * y1 + g8 * x2 * y2,
+    )
+
+
 def bilinear_mul(g: GammaVector, a: Pair, b: Pair) -> Pair:
     """Product of two pairs under the multiplication defined by g."""
-    return Pair(
-        g.g1 * a.c1 * b.c1 + g.g2 * a.c1 * b.c2 + g.g3 * a.c2 * b.c1 + g.g4 * a.c2 * b.c2,
-        g.g5 * a.c1 * b.c1 + g.g6 * a.c1 * b.c2 + g.g7 * a.c2 * b.c1 + g.g8 * a.c2 * b.c2,
-    )
+    return Pair(*_product(g.as_tuple(), a.c1, a.c2, b.c1, b.c2))
 
 
 def complex_mul(a: Pair, b: Pair) -> Pair:

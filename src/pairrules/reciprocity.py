@@ -22,39 +22,19 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .pairs import Pair, StandardForm, bilinear_mul, pair_add
-from .born import DomainError, HFunction, admissible, h_array, h_eval, solution_family_for
+from .pairs import DEFAULT_TOL, LinearMap, Pair, StandardForm, _product, bilinear_mul, pair_add
+from .born import DomainError, HFunction, admissible, h_array, h_eval
+from .regrading import apply_to_pair as rev_pair
 
-DEFAULT_TOL = 1e-9
 
+class ReciprocityOp(LinearMap):
+    """A LinearMap used as a reciprocity operator.
 
-@dataclass(frozen=True)
-class ReciprocityOp:
-    """A linear map [[r1, r2], [r3, r4]] on pair space."""
-
-    r1: float
-    r2: float
-    r3: float
-    r4: float
-
-    @property
-    def det(self) -> float:
-        return self.r1 * self.r4 - self.r2 * self.r3
-
-    @property
-    def invertible(self) -> bool:
-        scale = max(1.0, self.r1 ** 2, self.r2 ** 2, self.r3 ** 2, self.r4 ** 2)
-        return abs(self.det) > DEFAULT_TOL * scale
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.r1, self.r2, self.r3, self.r4)
+    Only its JSON form differs: a report of the matrix, whether it is
+    invertible and its name."""
 
     def to_json(self) -> dict:
-        return {
-            "matrix": [[self.r1, self.r2], [self.r3, self.r4]],
-            "invertible": self.invertible,
-            "name": name_of(self),
-        }
+        return {"matrix": super().to_json(), "invertible": self.invertible, "name": name_of(self)}
 
 
 IDENTITY = ReciprocityOp(1.0, 0.0, 0.0, 1.0)
@@ -62,7 +42,7 @@ CONJUGATION = ReciprocityOp(1.0, 0.0, 0.0, -1.0)
 SWAP = ReciprocityOp(0.0, 1.0, 1.0, 0.0)
 PROJECTION = ReciprocityOp(1.0, 0.0, 0.0, 0.0)
 
-_NAMED = {
+OPERATOR_NAMES = {
     IDENTITY: "identity",
     CONJUGATION: "conjugation",
     SWAP: "swap",
@@ -71,11 +51,7 @@ _NAMED = {
 
 
 def name_of(r: ReciprocityOp) -> str:
-    return _NAMED.get(r, "custom")
-
-
-def rev_pair(r: ReciprocityOp, a: Pair) -> Pair:
-    return Pair(r.r1 * a.c1 + r.r2 * a.c2, r.r3 * a.c1 + r.r4 * a.c2)
+    return OPERATOR_NAMES.get(r, "custom")
 
 
 def antihom_residual(r: ReciprocityOp, form: StandardForm, a: Pair, b: Pair) -> Pair:
@@ -138,17 +114,11 @@ def _coefficient_equations(form: StandardForm):
     a1, a2, b1, b2 = sp.symbols("a1 a2 b1 b2")
     g = [sp.Rational(int(x)) for x in form.gamma.as_tuple()]
 
-    def mul(x, y):
-        return (
-            g[0] * x[0] * y[0] + g[1] * x[0] * y[1] + g[2] * x[1] * y[0] + g[3] * x[1] * y[1],
-            g[4] * x[0] * y[0] + g[5] * x[0] * y[1] + g[6] * x[1] * y[0] + g[7] * x[1] * y[1],
-        )
+    def rev(x1, x2):
+        return (R1 * x1 + R2 * x2, R3 * x1 + R4 * x2)
 
-    def rev(x):
-        return (R1 * x[0] + R2 * x[1], R3 * x[0] + R4 * x[1])
-
-    lhs = rev(mul((a1, a2), (b1, b2)))
-    rhs = mul(rev((b1, b2)), rev((a1, a2)))
+    lhs = rev(*_product(g, a1, a2, b1, b2))
+    rhs = _product(g, *rev(b1, b2), *rev(a1, a2))
     eqs = []
     for diff in (lhs[0] - rhs[0], lhs[1] - rhs[1]):
         poly = sp.Poly(sp.expand(diff), a1, a2, b1, b2)
@@ -307,13 +277,6 @@ class RejectedInadmissibleExponents:
 Verdict = Union[Accepted, RejectedNonInvertible, RejectedCounterexample, RejectedInadmissibleExponents]
 
 
-def _make_h(form: StandardForm, exps: tuple[float, ...]) -> HFunction:
-    fam = solution_family_for(form)
-    if fam.beta_free:
-        return fam.make(exps[0], exps[1])
-    return fam.make(exps[0])
-
-
 # Exponent rows per kernel block: one block for the 1088-row C3 grid costs ~18 MB more.
 _CHUNK = 64
 
@@ -403,11 +366,7 @@ def _conclusion(form: StandardForm, r: ReciprocityOp, exps: np.ndarray, pairs: n
     g = form.gamma.as_tuple()
 
     def times_rev(x1, x2):
-        y1, y2 = r.r1 * x1 + r.r2 * x2, r.r3 * x1 + r.r4 * x2
-        return (
-            g[0] * x1 * y1 + g[1] * x1 * y2 + g[2] * x2 * y1 + g[3] * x2 * y2,
-            g[4] * x1 * y1 + g[5] * x1 * y2 + g[6] * x2 * y1 + g[7] * x2 * y2,
-        )
+        return _product(g, x1, x2, *r.apply(x1, x2))
 
     (p1, p2), (q1, q2) = times_rev(pairs[0], pairs[1]), times_rev(pairs[2], pairs[3])
     return h_array(form, exps[:, :1], exps[:, 1:], p1 + q1, p2 + q2)
@@ -523,7 +482,7 @@ def _find_counterexample(
         return None
     i = fails[0]  # the first failing pair in draw order
     a, b = Pair(*pairs[:2, 0, i].tolist()), Pair(*pairs[2:, 0, i].tolist())
-    return RejectedCounterexample(a, b, float(lhs[i]), float(rhs[i]), _make_h(form, canonical))
+    return RejectedCounterexample(a, b, float(lhs[i]), float(rhs[i]), HFunction(form, *canonical))
 
 
 def eliminate(
@@ -554,7 +513,7 @@ def eliminate(
                 candidates.append(pt2)
 
     if candidates:
-        admissible_sols = [e for e in candidates if admissible(_make_h(form, e))]
+        admissible_sols = [e for e in candidates if admissible(HFunction(form, *e))]
         if admissible_sols:
             exps = min(admissible_sols, key=lambda e: sum(x * x for x in e))
             sampled = exps[0]

@@ -1,8 +1,10 @@
 """Invertible changes of basis on pair space and reduction to the five standard forms.
 
-A regrading is an invertible 2x2 real map m.  It acts on pairs directly and on
-gamma vectors through an 8x8 coefficient matrix, fixed by the requirement that
-multiplication be equivariant:
+A regrading is a pairs.LinearMap m that must be invertible; the Regrading
+subclass adds only that invariant.  It acts on pairs directly (apply_to_pair,
+shared with the reciprocity operators of stage 3, which are LinearMaps too)
+and on gamma vectors through an 8x8 coefficient matrix, fixed by the
+requirement that multiplication be equivariant:
 
     apply_to_pair(m, a * b)  ==  apply_to_pair(m, a) *' apply_to_pair(m, b)
 
@@ -20,11 +22,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .pairs import (
+    DEFAULT_TOL,
     GammaVector,
+    LinearMap,
     Pair,
     STANDARD_GAMMAS,
     StandardForm,
-    _require_finite,
 )
 from .associativity import (
     Classification,
@@ -37,68 +40,24 @@ from .associativity import (
     reconstruct_gamma,
 )
 
-DEFAULT_TOL = 1e-9
-
 
 class SingularRegradingError(ValueError):
     """Raised when a candidate 2x2 map is not invertible within tolerance."""
 
 
-@dataclass(frozen=True)
-class Regrading:
-    """An invertible linear map [[s, t], [u, v]] on pair space."""
-
-    s: float
-    t: float
-    u: float
-    v: float
+class Regrading(LinearMap):
+    """A LinearMap that must be invertible: a singular one is refused at construction."""
 
     def __post_init__(self) -> None:
-        _require_finite("Regrading", self.s, self.t, self.u, self.v)
-        scale = max(1.0, self.norm_inf() ** 2)
-        if abs(self.det) <= DEFAULT_TOL * scale:
+        super().__post_init__()
+        if not self.invertible:
             raise SingularRegradingError(
                 f"regrading [[{self.s}, {self.t}], [{self.u}, {self.v}]] is singular"
             )
 
-    @property
-    def det(self) -> float:
-        return self.s * self.v - self.t * self.u
 
-    def norm_inf(self) -> float:
-        return max(abs(self.s), abs(self.t), abs(self.u), abs(self.v))
-
-    @classmethod
-    def identity(cls) -> "Regrading":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    def inverse(self) -> "Regrading":
-        d = self.det
-        return Regrading(self.v / d, -self.t / d, -self.u / d, self.s / d)
-
-    def compose(self, other: "Regrading") -> "Regrading":
-        """Matrix product self . other: apply `other` first, then self."""
-        return Regrading(
-            self.s * other.s + self.t * other.u,
-            self.s * other.t + self.t * other.v,
-            self.u * other.s + self.v * other.u,
-            self.u * other.t + self.v * other.v,
-        )
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.s, self.t], [self.u, self.v]], dtype=float)
-
-    def to_json(self) -> list[list[float]]:
-        return [[self.s, self.t], [self.u, self.v]]
-
-    @classmethod
-    def from_json(cls, data) -> "Regrading":
-        (s, t), (u, v) = data
-        return cls(float(s), float(t), float(u), float(v))
-
-
-def apply_to_pair(m: Regrading, a: Pair) -> Pair:
-    return Pair(m.s * a.c1 + m.t * a.c2, m.u * a.c1 + m.v * a.c2)
+def apply_to_pair(m: LinearMap, a: Pair) -> Pair:
+    return Pair(*m.apply(a.c1, a.c2))
 
 
 def _coefficient_matrix(s: float, t: float, u: float, v: float) -> np.ndarray:
@@ -289,22 +248,17 @@ def reduce_to_standard(c: Classification, tol: float = DEFAULT_TOL) -> Reduction
     if isinstance(c, CommutativeA):
         return _reduce_commutative(c, tol)
 
+    # Both non-commutative families reduce by the map [[gamma1, x], [-x, gamma1]].
     if isinstance(c, NonCommutativeB):
-        try:
-            m = Regrading(c.gamma1, c.gamma2, -c.gamma2, c.gamma1)
-        except SingularRegradingError:
-            return Inadmissible("recovery matrix is non-invertible: both parameters vanish")
-        if not _verify_reduction(m, g, StandardForm.N2.gamma, max(tol, 1e-8)):
-            raise RuntimeError(f"reduction map failed verification for {c!r}")
-        return ReductionResult(StandardForm.N2, m)
-
-    if isinstance(c, NonCommutativeC):
-        try:
-            m = Regrading(c.gamma1, c.gamma3, -c.gamma3, c.gamma1)
-        except SingularRegradingError:
-            return Inadmissible("recovery matrix is non-invertible: both parameters vanish")
-        if not _verify_reduction(m, g, StandardForm.N1.gamma, max(tol, 1e-8)):
-            raise RuntimeError(f"reduction map failed verification for {c!r}")
-        return ReductionResult(StandardForm.N1, m)
-
-    return _reduce_degenerate(c, tol)
+        x, form = c.gamma2, StandardForm.N2
+    elif isinstance(c, NonCommutativeC):
+        x, form = c.gamma3, StandardForm.N1
+    else:
+        return _reduce_degenerate(c, tol)
+    try:
+        m = Regrading(c.gamma1, x, -x, c.gamma1)
+    except SingularRegradingError:
+        return Inadmissible("recovery matrix is non-invertible: both parameters vanish")
+    if not _verify_reduction(m, g, form.gamma, max(tol, 1e-8)):
+        raise RuntimeError(f"reduction map failed verification for {c!r}")
+    return ReductionResult(form, m)

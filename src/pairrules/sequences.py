@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -237,7 +237,7 @@ class NormalizationReport:
     qualifies: bool
     totals: dict[int, float]
     max_total_deviation: float
-    max_interleave_deviation: Optional[float]
+    max_interleave_deviation: float
 
     def to_json(self) -> dict:
         return {
@@ -249,7 +249,7 @@ class NormalizationReport:
         }
 
 
-def normalization_check(setup: SetupSpec, tol: float = 1e-12) -> NormalizationReport:
+def normalization_check(setup: SetupSpec) -> NormalizationReport:
     """Conservation of total probability, and insensitivity to a trivial measurement.
 
     A set-up qualifies when every interval table is square and unitary as a
@@ -279,31 +279,26 @@ def normalization_check(setup: SetupSpec, tol: float = 1e-12) -> NormalizationRe
         totals[i] = total
     max_dev = max(abs(t - 1.0) for t in totals.values()) if qualifies else float("nan")
 
-    max_interleave: Optional[float] = None
-    if len(setup.slots) >= 2:
-        max_interleave = 0.0
-        mid = len(setup.slots) // 2
-        widened = (
-            setup.slots[:mid] + (setup.slots[mid - 1],) + setup.slots[mid:]
-        )
-        widened_tables = (
-            setup.tables[: mid - 1]
-            + (identity_table(setup.slots[mid - 1]),)
-            + setup.tables[mid - 1:]
-        )
-        asg2 = AmplitudeAssignment(widened_tables)
-        for i in sorted(setup.slots[0]):
-            for j in sorted(setup.slots[-1]):
-                base = Sequence("n", (Outcome.of(i), *full_interior, Outcome.of(j)))
-                spliced = Sequence(
-                    "n",
-                    base.outcomes[:mid]
-                    + (Outcome(setup.slots[mid - 1]),)
-                    + base.outcomes[mid:],
-                )
-                p0 = probability(base, asg)
-                p1 = probability(spliced, asg2)
-                max_interleave = max(max_interleave, abs(p1 - p0))
+    mid = len(setup.slots) // 2
+    widened_tables = (
+        setup.tables[: mid - 1]
+        + (identity_table(setup.slots[mid - 1]),)
+        + setup.tables[mid - 1:]
+    )
+    asg2 = AmplitudeAssignment(widened_tables)
+    max_interleave = 0.0
+    for i in sorted(setup.slots[0]):
+        for j in sorted(setup.slots[-1]):
+            base = Sequence("n", (Outcome.of(i), *full_interior, Outcome.of(j)))
+            spliced = Sequence(
+                "n",
+                base.outcomes[:mid]
+                + (Outcome(setup.slots[mid - 1]),)
+                + base.outcomes[mid:],
+            )
+            p0 = probability(base, asg)
+            p1 = probability(spliced, asg2)
+            max_interleave = max(max_interleave, abs(p1 - p0))
 
     return NormalizationReport(
         tuple(unitary_flags), qualifies, totals, max_dev, max_interleave
