@@ -86,14 +86,10 @@ def cases() -> dict[str, list[str]]:
     for fmt in ("text", "json"):
         for form in ("C1", "C2", "C3"):
             out[f"solve_reciprocity_{form}_{fmt}"] = ["solve-reciprocity", form, "--format", fmt]
-        for form, op in (
-            ("C2", "projection"),
-            ("C3", "identity"),
-            ("C3", "swap"),
-            ("C1", "identity"),
-            ("C1", "conjugation"),
-        ):
-            out[f"eliminate_{form}_{op}_{fmt}"] = ["eliminate", form, op, "--format", fmt]
+        # Every (form, operator) cell, not only the five the derivation visits.
+        for form in ("C1", "C2", "C3", "N1", "N2"):
+            for op in ("identity", "conjugation", "swap", "projection"):
+                out[f"eliminate_{form}_{op}_{fmt}"] = ["eliminate", form, op, "--format", fmt]
         for form in ("C1", "C2", "C3", "N1", "N2"):
             out[f"solve_h_{form}_{fmt}"] = ["solve-h", form, "--format", fmt]
     for i, g in enumerate(_gammas()):
