@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Union
 
-from .pairs import DEFAULT_TOL, GammaVector, Pair, bilinear_mul, pair_sub
+from .pairs import DEFAULT_TOL, ROUNDING_FLOOR, GammaVector, Pair, bilinear_mul, pair_sub
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ def is_associative(
     norm2 = g.norm_inf() ** 2
     passed = twelve_equations(g).max_abs() <= tol * max(1.0, norm2)
     if passed:
-        # A triple residual carries float rounding, so its bound never goes below 1e-12.
-        triple_tol = max(tol, 1e-12)
+        triple_tol = max(tol, ROUNDING_FLOOR)  # a triple residual carries float rounding
         rng = random.Random(seed)
         for _ in range(samples):
             a = Pair(rng.uniform(-2, 2), rng.uniform(-2, 2))

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 non-associative input to classify/reduce, 3 derivation
 table deviates from the expected verdicts or reaches none, or an internal
-consistency check fails, 64 malformed input or a usage error, 65 missing
-amplitude entry.
+consistency check fails (a combination law in check-symmetries included), 64
+malformed input or a usage error, 65 missing amplitude entry.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import __version__
 from .associativity import NotAssociative, classification_to_json, classify
-from .born import solution_family_for
+from .born import h_eval, solution_family_for
 from .config import RunConfig
 from .pairs import DEFAULT_TOL, GammaVector, StandardForm
 from .reciprocity import (
@@ -31,12 +31,12 @@ from .reciprocity import (
 )
 from .regrading import Inadmissible, reduce_to_standard
 from .sequences import (
+    BORN,
     MissingAmplitudeError,
     SequenceError,
     amplitude,
     normalization_check,
     check_symmetries,
-    probability,
     sequences_from_json,
     setup_from_json,
 )
@@ -191,7 +191,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     try:
         for s in seqs:
             a = amplitude(s, asg)
-            p = probability(s, asg)
+            p = h_eval(BORN, a)
             results.append({"sequence": s.to_json(), "amplitude": a.to_json(), "probability": p})
             lines.append(f"{s}  amplitude {a.to_json()}  probability {p:.12g}")
         norm = normalization_check(setup)
@@ -219,7 +219,7 @@ def _cmd_check_symmetries(args, cfg: RunConfig) -> int:
     lines.append("all laws hold" if rep.passed else "FAILURES:")
     lines.extend(rep.failures)
     _emit({"symmetries": rep.to_json()}, "\n".join(lines), cfg, args.out)
-    return EXIT_OK if rep.passed else 1
+    return EXIT_OK if rep.passed else EXIT_DERIVE_DEVIATION
 
 
 def _is_number(arg: str) -> bool:

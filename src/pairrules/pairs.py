@@ -13,6 +13,9 @@ from typing import Iterable
 
 # The one numerical tolerance shared by every stage and the CLI's --tol default.
 DEFAULT_TOL = 1e-9
+# No bound derived from a tolerance goes below this: float rounding in a
+# residual near unit scale reaches 1e-15.
+ROUNDING_FLOOR = 1e-12
 
 
 class NonFiniteError(ValueError):
@@ -182,7 +185,7 @@ def _product(g, x1, x2, y1, y2):
     """(x1, x2) * (y1, y2) under the eight coefficients g, in g1..g8 order.
 
     The one statement of the bilinear product: the components may be floats,
-    numpy arrays or sympy expressions.
+    Fractions, numpy arrays or sympy expressions.
     """
     g1, g2, g3, g4, g5, g6, g7, g8 = g
     return (

@@ -2,9 +2,10 @@
 
 A reciprocity operator R sends the weight of a sequence to the weight of the
 reversed sequence.  Linearity is given; the series rule forces R to reverse
-products, R(a * b) = R(b) * R(a).  Solving that constraint per standard form,
-then demanding that the normalization premise h(a) + h(b) = 1 imply
-h((a * R(a)) + (b * R(b))) = 1, eliminates every candidate except complex
+products, R(a * b) = R(b) * R(a).  On the commutative unital forms C1, C2 and
+C3 that makes R an algebra endomorphism, enumerated exactly in closed form.
+Demanding that the normalization premise h(a) + h(b) = 1 imply
+h((a * R(a)) + (b * R(b))) = 1 then eliminates every candidate except complex
 multiplication with conjugation and exponent alpha = 2.
 
 One numpy kernel tests the implication over blocks of exponent rows.  No
@@ -18,11 +19,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .pairs import DEFAULT_TOL, LinearMap, Pair, StandardForm, _product, bilinear_mul, pair_add
+from .pairs import DEFAULT_TOL, ROUNDING_FLOOR, LinearMap, Pair, StandardForm, _product, bilinear_mul, pair_add
 from .born import DomainError, HFunction, admissible, h_array, h_eval, solution_family_for
 from .regrading import apply_to_pair as rev_pair
 
@@ -111,27 +113,50 @@ class ReciprocitySolutions:
         }
 
 
-def _coefficient_equations(form: StandardForm):
-    """The 8 polynomial constraints on R1..R4 from matching monomial coefficients."""
-    import sympy as sp
-    R1, R2, R3, R4 = sp.symbols("R1 R2 R3 R4")
-    a1, a2, b1, b2 = sp.symbols("a1 a2 b1 b2")
-    g = [sp.Rational(int(x)) for x in form.gamma.as_tuple()]
+def _columns(p, q) -> LinearMap:
+    """The map sending (1, 0) to p and (0, 1) to q."""
+    return LinearMap(p[0], q[0], p[1], q[1])
 
-    def rev(x1, x2):
-        return (R1 * x1 + R2 * x2, R3 * x1 + R4 * x2)
 
-    lhs = rev(*_product(g, a1, a2, b1, b2))
-    rhs = _product(g, *rev(b1, b2), *rev(a1, a2))
-    eqs = []
-    for diff in (lhs[0] - rhs[0], lhs[1] - rhs[1]):
-        poly = sp.Poly(sp.expand(diff), a1, a2, b1, b2)
-        eqs.extend(poly.coeffs())
-    return (R1, R2, R3, R4), eqs
+def _unital_basis(form: StandardForm) -> tuple[LinearMap, Fraction, Fraction]:
+    """The exact unit u and a second basis vector j as the columns of a map, and
+    (c, d) with j * j = c u + d j.  The unit solves u * (1, 1) = (1, 1)."""
+    g = [Fraction(x) for x in form.gamma.as_tuple()]
+    u = _columns(_product(g, 1, 0, 1, 1), _product(g, 0, 1, 1, 1)).inverse().apply(1, 1)
+    j = (0, 1) if u[0] else (1, 0)
+    basis = _columns(u, j)
+    return basis, *basis.inverse().apply(*_product(g, *j, *j))
+
+
+def _endomorphisms(form: StandardForm) -> list[SolutionBranch]:
+    """Every product-reversing linear map of a unital form: families, then points.
+
+    The form is commutative, so such an R is an algebra endomorphism: e = R(1)
+    is idempotent, y = R(j) has y e = y and y^2 = c e + d y.  disc = d^2 + 4c
+    splits the forms as mu does.  Below zero e = 1 and y = j or d - j; at zero
+    y = d/2 + t (j - d/2); above zero also y = r e, r^2 = c + d r, for e = 1
+    and two more idempotents."""
+    basis, c, d = _unital_basis(form)
+
+    def in_pairs(e, y) -> tuple[float, ...]:  # e and y in (u, j) coordinates
+        m = basis.compose(_columns(e, y)).compose(basis.inverse())
+        return tuple(float(x) for x in m.as_tuple())
+
+    one, zero = (1, 0), (0, 0)
+    disc = d * d + 4 * c
+    if not disc:
+        line = SolutionBranch(in_pairs(one, (d / 2, 0)), (in_pairs(zero, (-d / 2, 1)),))
+        return [line, SolutionBranch(in_pairs(zero, zero))]
+    points = [in_pairs(zero, zero), in_pairs(one, (0, 1)), in_pairs(one, (d, -1))]
+    if disc > 0:
+        root = Fraction(math.sqrt(disc))
+        for e in (one, ((1 - d / root) / 2, 1 / root), ((1 + d / root) / 2, -1 / root)):
+            points += [in_pairs(e, (r * e[0], r * e[1])) for r in ((d + root) / 2, (d - root) / 2)]
+    return [SolutionBranch(p) for p in sorted(points)]
 
 
 def solve_reciprocity(form: StandardForm) -> ReciprocitySolutions:
-    """Solve the product-reversal constraint symbolically and report all branches.
+    """Enumerate the product-reversing operators in closed form and report all branches.
 
     The named representatives (identity, conjugation, swap, projection) are
     pattern-matched out of the solution set; anything beyond them, such as
@@ -140,38 +165,7 @@ def solve_reciprocity(form: StandardForm) -> ReciprocitySolutions:
     """
     if form not in _PAPER_TABLE:
         raise ValueError(f"reciprocity analysis applies to C1, C2, C3; got {form.value}")
-    import sympy as sp  # imported here: only this solve needs it, and it is slow to load
-    syms, eqs = _coefficient_equations(form)
-    sols = sp.solve(eqs, list(syms), dict=True)
-
-    def as_real(e) -> Optional[float]:
-        z = complex(e)
-        return z.real if abs(z.imag) <= 1e-9 else None
-
-    branches: list[SolutionBranch] = []
-    for sol in sols:
-        exprs = [sp.expand(sol.get(s, s)) for s in syms]
-        free = sorted(
-            {f for e in exprs for f in e.free_symbols},
-            key=lambda s: s.name,
-        )
-        vals = [as_real(e.subs({f: 0 for f in free})) for e in exprs]
-        if any(v is None for v in vals):
-            continue  # complex-valued branch: not a real reciprocity operator
-        base = tuple(vals)
-        dirs = []
-        ok = True
-        for f in free:
-            d = [as_real(sp.diff(e, f)) for e in exprs]
-            if any(v is None for v in d):
-                ok = False
-                break
-            dirs.append(tuple(d))
-            for e in exprs:
-                if sp.degree(sp.Poly(e, f)) > 1:
-                    raise RuntimeError(f"non-affine reciprocity branch for {form.value}: {exprs}")
-        if ok:
-            branches.append(SolutionBranch(base, tuple(dirs)))
+    branches = _endomorphisms(form)
 
     def on_branch(op: ReciprocityOp) -> bool:
         return any(b.distance(op.as_tuple()) < 1e-9 for b in branches)
@@ -250,7 +244,7 @@ class RejectedCounterexample:
             rhs = h_eval(self.h, repeated_measurement_pair(self.a, self.b, r, self.h.form))
         except DomainError:
             rhs = 0.0
-        return abs(lhs - 1.0) < tol and abs(rhs - 1.0) > 0.1
+        return abs(lhs - 1.0) < max(tol, ROUNDING_FLOOR) and abs(rhs - 1.0) > 0.1
 
     def to_json(self) -> dict:
         return {
@@ -486,7 +480,8 @@ def _find_counterexample(
         alpha, beta = exps[:, :1], exps[:, 1:]
         lhs = (h_array(form, alpha, beta, *pairs[:2]) + h_array(form, alpha, beta, *pairs[2:]))[0]
     rhs = np.where(np.isnan(hc), 0.0, hc)
-    fails = np.flatnonzero(ok[0] & (np.abs(lhs - 1.0) < tol) & (np.abs(rhs - 1.0) > 0.1))
+    premise = np.abs(lhs - 1.0) < max(tol, ROUNDING_FLOOR)
+    fails = np.flatnonzero(ok[0] & premise & (np.abs(rhs - 1.0) > 0.1))
     if not len(fails):
         return None
     i = fails[0]  # the first failing pair in draw order
@@ -516,7 +511,7 @@ def eliminate(
     for pt, res in zip(grid, _residuals(form, r, np.array(grid), draws)):
         if res < 1e-6:  # NaN, an unreachable premise, never passes
             pt2, best = _polish(form, r, pt, draws)
-            if best < tol and not any(
+            if best < max(tol, ROUNDING_FLOOR) and not any(
                 max(abs(x - y) for x, y in zip(pt2, q)) < 1e-3 for q in candidates
             ):
                 candidates.append(pt2)

@@ -171,13 +171,13 @@ def amplitude(s: Sequence, asg: AmplitudeAssignment) -> Pair:
     return total
 
 
-_BORN = HFunction(StandardForm.C1, 2.0)
+# The surviving rule, p(x) = x1^2 + x2^2, as the C1 probability with alpha = 2.
+BORN = HFunction(StandardForm.C1, 2.0)
 
 
 def probability(s: Sequence, asg: AmplitudeAssignment) -> float:
     """The surviving rule: modulus squared of the amplitude."""
-    a = amplitude(s, asg)
-    return h_eval(_BORN, a)
+    return h_eval(BORN, amplitude(s, asg))
 
 
 @dataclass(frozen=True)
@@ -270,12 +270,14 @@ def normalization_check(setup: SetupSpec) -> NormalizationReport:
 
     asg = setup.assignment()
     full_interior = [Outcome(s) for s in setup.slots[1:-1]]
+    base_p: dict[tuple[int, int], float] = {}
     totals: dict[int, float] = {}
     for i in sorted(setup.slots[0]):
         total = 0.0
         for j in sorted(setup.slots[-1]):
             s = Sequence("n", (Outcome.of(i), *full_interior, Outcome.of(j)))
-            total += probability(s, asg)
+            base_p[i, j] = probability(s, asg)
+            total += base_p[i, j]
         totals[i] = total
     max_dev = max(abs(t - 1.0) for t in totals.values()) if qualifies else float("nan")
 
@@ -296,9 +298,8 @@ def normalization_check(setup: SetupSpec) -> NormalizationReport:
                 + (Outcome(setup.slots[mid - 1]),)
                 + base.outcomes[mid:],
             )
-            p0 = probability(base, asg)
             p1 = probability(spliced, asg2)
-            max_interleave = max(max_interleave, abs(p1 - p0))
+            max_interleave = max(max_interleave, abs(p1 - base_p[i, j]))
 
     return NormalizationReport(
         tuple(unitary_flags), qualifies, totals, max_dev, max_interleave

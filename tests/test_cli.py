@@ -2,13 +2,16 @@ import json
 
 import pytest
 
+from pairrules import cli
 from pairrules.cli import (
+    EXIT_DERIVE_DEVIATION,
     EXIT_MALFORMED,
     EXIT_MISSING_AMPLITUDE,
     EXIT_NOT_ASSOCIATIVE,
     EXIT_OK,
     main,
 )
+from pairrules.sequences import SymmetryReport
 
 C1 = ["1", "0", "0", "-1", "0", "1", "1", "0"]
 
@@ -176,3 +179,43 @@ def test_elimination_failure_exits_3_without_traceback(capsys, monkeypatch, argv
     assert code == 3
     assert out == ""
     assert err == "error: no counterexample certificate was found\n"
+
+
+def test_derive_tolerance_below_float_rounding_still_accepts(capsys):
+    # The accepted exponents have residuals of 4e-16 to 9e-16: a --tol below
+    # float rounding must not discard them.
+    code, out, err = run(capsys, "derive", "--tol", "1e-16")
+    assert code == EXIT_OK, err
+    assert "accepted (alpha = 2)" in out
+
+    code, out, err = run(capsys, "eliminate", "C1", "conjugation", "--tol", "1e-300")
+    assert code == EXIT_OK, err
+    assert out == "C1 / conjugation -> accepted\n"
+
+
+def test_simulate_evaluates_each_amplitude_once(tmp_path, capsys, monkeypatch):
+    sp, qp = write_inputs(tmp_path, seqs=[[1, 1], [1, 2], [2, 1], [2, 2]])
+    # normalization_check's own amplitude calls are counted in test_sequences.
+    norm = cli.normalization_check(cli.setup_from_json(SETUP))
+    calls = []
+    amplitude = cli.amplitude
+
+    def counted(s, asg):
+        calls.append(s)
+        return amplitude(s, asg)
+
+    monkeypatch.setattr(cli, "normalization_check", lambda setup: norm)
+    monkeypatch.setattr(cli, "amplitude", counted)
+    monkeypatch.setattr("pairrules.sequences.amplitude", counted)
+    code, out, _ = run(capsys, "simulate", sp, qp)
+    assert code == EXIT_OK
+    assert len(calls) == 4
+    assert "probability 0.36" in out
+
+
+def test_check_symmetries_failure_exits_3(capsys, monkeypatch):
+    report = SymmetryReport({"pll-comm": 1}, ("pll-comm: [1; 2] ; [1; 3]",))
+    monkeypatch.setattr(cli, "check_symmetries", lambda cases, seed: report)
+    code, out, _ = run(capsys, "check-symmetries")
+    assert code == EXIT_DERIVE_DEVIATION
+    assert "FAILURES:" in out

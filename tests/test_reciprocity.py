@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from pairrules.born import HFunction
-from pairrules.pairs import Pair, StandardForm
+from pairrules.pairs import Pair, StandardForm, _product
 from pairrules.reciprocity import (
     Accepted,
     CONJUGATION,
@@ -264,3 +269,117 @@ def test_full_elimination_is_seed_independent(seed):
     for c in report.cells:
         if isinstance(c.verdict, RejectedCounterexample):
             assert c.verdict.revalidate(c.operator)
+
+
+def test_eliminate_keeps_exponents_below_a_tolerance_under_float_rounding():
+    v = eliminate(StandardForm.C1, CONJUGATION, tol=1e-300)
+    assert isinstance(v, Accepted)
+    assert v.alpha == pytest.approx(2.0, abs=1e-8)
+
+    report = run_full_elimination(tol=1e-16)
+    assert report.deviations == ()
+    assert report.alpha == pytest.approx(2.0, abs=1e-8)
+    for c in report.cells:
+        if isinstance(c.verdict, RejectedCounterexample):
+            assert c.verdict.revalidate(c.operator)
+            # the premise h(a) + h(b) = 1 holds only up to float rounding
+            assert c.verdict.revalidate(c.operator, tol=1e-16)
+
+
+# The symbolic solve that solve_reciprocity's closed form replaced, kept as
+# an independent oracle: match the monomial coefficients of
+# R(a * b) - R(b) * R(a) and hand the 8 polynomial equations to sympy.
+
+
+def _coefficient_equations(form):
+    R1, R2, R3, R4 = sp.symbols("R1 R2 R3 R4")
+    a1, a2, b1, b2 = sp.symbols("a1 a2 b1 b2")
+    g = [sp.Rational(int(x)) for x in form.gamma.as_tuple()]
+
+    def rev(x1, x2):
+        return (R1 * x1 + R2 * x2, R3 * x1 + R4 * x2)
+
+    lhs = rev(*_product(g, a1, a2, b1, b2))
+    rhs = _product(g, *rev(b1, b2), *rev(a1, a2))
+    eqs = []
+    for diff in (lhs[0] - rhs[0], lhs[1] - rhs[1]):
+        eqs.extend(sp.Poly(sp.expand(diff), a1, a2, b1, b2).coeffs())
+    return (R1, R2, R3, R4), eqs
+
+
+def _sympy_branches(form):
+    """Real affine branches of sp.solve's solution set: (base, directions)."""
+    syms, eqs = _coefficient_equations(form)
+    branches = []
+    for sol in sp.solve(eqs, list(syms), dict=True):
+        exprs = [sp.expand(sol.get(s, s)) for s in syms]
+        free = sorted({f for e in exprs for f in e.free_symbols}, key=lambda s: s.name)
+        for f in free:
+            assert all(sp.degree(sp.Poly(e, f)) <= 1 for e in exprs), f"non-affine: {exprs}"
+        base = [complex(e.subs({f: 0 for f in free})) for e in exprs]
+        dirs = [[complex(sp.diff(e, f)) for e in exprs] for f in free]
+        if any(abs(z.imag) > 1e-9 for z in base + sum(dirs, [])):
+            continue  # complex-valued: not a real reciprocity operator
+        branches.append((tuple(z.real for z in base), [[z.real for z in d] for d in dirs]))
+    return branches
+
+
+def _same_span(d1, d2) -> bool:
+    rank = np.linalg.matrix_rank
+    return len(d1) == len(d2) == rank(np.array(d1)) == rank(np.array(d1 + d2))
+
+
+@pytest.mark.parametrize("form", [StandardForm.C1, StandardForm.C2, StandardForm.C3])
+def test_closed_form_branches_equal_the_symbolic_solve(form):
+    got = solve_reciprocity(form).branches
+    want = _sympy_branches(form)
+    assert len(got) == len(want)
+    for b in got:
+        dirs = [list(d) for d in b.directions]
+        assert any(
+            np.allclose(b.base, base, rtol=0.0, atol=1e-12) and _same_span(dirs, d)
+            for base, d in want
+        ), f"{form}: {b} is not a branch of the symbolic solve"
+
+
+@pytest.mark.parametrize("form", [StandardForm.C1, StandardForm.C2, StandardForm.C3])
+def test_every_enumerated_operator_reverses_products(form):
+    rng = random.Random(5)
+    ops = []
+    for b in solve_reciprocity(form).branches:
+        if not b.directions:
+            ops.append(ReciprocityOp(*b.base))
+        for t in (-2.0, 0.5, 3.0):
+            for d in b.directions:
+                ops.append(ReciprocityOp(*(x + t * y for x, y in zip(b.base, d))))
+    for op in ops:
+        for _ in range(50):
+            a = Pair(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            b = Pair(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            res = antihom_residual(op, form, a, b)
+            assert max(abs(res.c1), abs(res.c2)) < 1e-12, (form, op, a, b)
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv", [["derive"], ["solve-reciprocity", "C2"], ["eliminate", "C1", "conjugation"]]
+)
+def test_cli_runs_without_loading_sympy(argv):
+    script = (
+        "import sys\n"
+        "from pairrules.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('sympy loaded' if 'sympy' in sys.modules else 'sympy not loaded', file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "sympy not loaded"

@@ -255,3 +255,26 @@ def test_setup_json_round_trip():
         sequences_from_json({"not": "a list"}, setup)
     with pytest.raises(SequenceError):
         setup_from_json({"slots": [[1]]})
+
+
+def test_normalization_check_evaluates_each_base_amplitude_once(monkeypatch):
+    # 2 initial x 3 final labels: one base and one spliced amplitude per pair.
+    import pairrules.sequences as sequences
+
+    setup = setup_from_json({
+        "slots": [[1, 2], [1, 2], [1, 2, 3]],
+        "tables": [
+            [[1, 1, 0.6, 0.0], [1, 2, 0.8, 0.0], [2, 1, -0.8, 0.0], [2, 2, 0.6, 0.0]],
+            [[s, d, 0.5, 0.25] for s in (1, 2) for d in (1, 2, 3)],
+        ],
+    })
+    calls = []
+    amplitude = sequences.amplitude
+
+    def counted(s, asg):
+        calls.append(s)
+        return amplitude(s, asg)
+
+    monkeypatch.setattr(sequences, "amplitude", counted)
+    normalization_check(setup)
+    assert len(calls) == 2 * 2 * 3
