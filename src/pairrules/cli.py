@@ -187,29 +187,29 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
     asg = setup.assignment()
     results = []
-    lines = []
     try:
         for s in seqs:
             a = amplitude(s, asg)
             p = h_eval(BORN, a)
             results.append({"sequence": s.to_json(), "amplitude": a.to_json(), "probability": p})
-            lines.append(f"{s}  amplitude {a.to_json()}  probability {p:.12g}")
         norm = normalization_check(setup)
     except MissingAmplitudeError as exc:
         raise CliError(str(exc), EXIT_MISSING_AMPLITUDE) from exc
-    if norm.qualifies:
-        lines.append(
-            "normalization: tables are unitary; "
-            f"max total-probability deviation {norm.max_total_deviation:.3g}"
-        )
-    else:
-        lines.append("normalization: tables do not preserve modulus squares; no check")
-    _emit(
-        {"results": results, "normalization": norm.to_json()},
-        "\n".join(lines),
-        cfg,
-        args.out,
-    )
+    text = ""
+    if cfg.output_format == "text":
+        lines = [
+            f"{s}  amplitude {r['amplitude']}  probability {r['probability']:.12g}"
+            for s, r in zip(seqs, results)
+        ]
+        if norm.qualifies:
+            lines.append(
+                "normalization: tables are unitary; "
+                f"max total-probability deviation {norm.max_total_deviation:.3g}"
+            )
+        else:
+            lines.append("normalization: tables do not preserve modulus squares; no check")
+        text = "\n".join(lines)
+    _emit({"results": results, "normalization": norm.to_json()}, text, cfg, args.out)
     return EXIT_OK
 
 

@@ -219,3 +219,41 @@ def test_check_symmetries_failure_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "check-symmetries")
     assert code == EXIT_DERIVE_DEVIATION
     assert "FAILURES:" in out
+
+
+UNIT = [[1, 1, 0.6, 0.0], [1, 2, 0.8, 0.0], [2, 1, -0.8, 0.0], [2, 2, 0.6, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "setup, seqs",
+    [
+        # label 0 in the slots and the table
+        ({"slots": [[0, 1], [0, 1]],
+          "tables": [[[0, 0, 1.0, 0.0], [0, 1, 0.0, 0.0], [1, 0, 0.0, 0.0], [1, 1, 1.0, 0.0]]]},
+         [[1, 1]]),
+        # an empty interior slot, with no sequence to use it
+        ({"slots": [[1, 2], [], [1, 2]], "tables": [[], []]}, []),
+        # JSON true as a label, in a slot, in a table and in a sequence
+        ({"slots": [[True, 2], [1, 2]], "tables": [UNIT]}, [[1, 1]]),
+        ({"slots": [[1, 2], [1, 2]], "tables": [UNIT[:3] + [[2, True, 0.6, 0.0]]]}, [[1, 1]]),
+        (SETUP, [[True, 1]]),
+        (SETUP, [[[True], 1]]),
+        # ... and next to the 1 it would merge with in a set
+        ({"slots": [[1, True, 2], [1, 2]], "tables": [UNIT]}, [[1, 1]]),
+        (SETUP, [[[1, True], 1]]),
+        # a float label, in a slot, in a table's from and to and in a sequence
+        ({"slots": [[1.7, 2], [1, 2]], "tables": [UNIT]}, [[1, 1]]),
+        ({"slots": [[1, 2], [1, 2]], "tables": [UNIT[:3] + [[2.0, 2, 0.6, 0.0]]]}, [[1, 1]]),
+        ({"slots": [[1, 2], [1, 2]], "tables": [UNIT[:3] + [[2, 1.7, 0.6, 0.0]]]}, [[1, 1]]),
+        (SETUP, [[1.7, 1]]),
+        # a negative label and a slot that is no array
+        ({"slots": [[-1, 2], [1, 2]], "tables": [UNIT]}, [[2, 2]]),
+        ({"slots": [3, [1, 2]], "tables": [UNIT]}, [[1, 1]]),
+    ],
+)
+def test_simulate_malformed_labels_exit_64(tmp_path, capsys, setup, seqs):
+    sp, qp = write_inputs(tmp_path, setup=setup, seqs=seqs)
+    code, out, err = run(capsys, "simulate", sp, qp)
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -278,3 +279,80 @@ def test_normalization_check_evaluates_each_base_amplitude_once(monkeypatch):
     monkeypatch.setattr(sequences, "amplitude", counted)
     normalization_check(setup)
     assert len(calls) == 2 * 2 * 3
+
+
+def path_sum(s, asg):
+    """The paper's statement, literally: one product per atomic refinement."""
+    total = Pair(0.0, 0.0)
+    for path in itertools.product(*(sorted(o.labels) for o in s.outcomes)):
+        w = Pair(1.0, 0.0)
+        for k in range(len(path) - 1):
+            w = complex_mul(w, asg.entry(k, path[k], path[k + 1]))
+        total = pair_add(total, w)
+    return total
+
+
+def random_slots(rng, n):
+    return [frozenset(rng.sample(range(1, 5), rng.randint(1, 4))) for _ in range(n)]
+
+
+def random_sequence(rng, slots):
+    first, last = rng.choice(sorted(slots[0])), rng.choice(sorted(slots[-1]))
+    interior = [rng.sample(sorted(s), rng.randint(1, len(s))) for s in slots[1:-1]]
+    return Sequence.of("s", first, *interior, last)
+
+
+def test_amplitude_matches_path_sum():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        slots = random_slots(rng, n)
+        asg = AmplitudeAssignment(
+            tuple(full_table(rng, slots[k], slots[k + 1]) for k in range(n - 1))
+        )
+        s = random_sequence(rng, slots)
+        got, want = amplitude(s, asg), path_sum(s, asg)
+        if n <= 3:
+            assert got == want
+        else:
+            assert abs(got.c1 - want.c1) < 1e-12 and abs(got.c2 - want.c2) < 1e-12
+
+
+def test_amplitude_raises_exactly_where_path_sum_does():
+    rng = random.Random(11)
+    raised = 0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        slots = random_slots(rng, n)
+        tables = []
+        for k in range(n - 1):
+            table = full_table(rng, slots[k], slots[k + 1])
+            for key in sorted(table):
+                if rng.random() < 0.1:
+                    del table[key]
+            tables.append(table)
+        asg = AmplitudeAssignment(tuple(tables[: rng.choice((n - 1, n - 1, n - 2))]))
+        s = random_sequence(rng, slots)
+        try:
+            want = path_sum(s, asg)
+        except MissingAmplitudeError:
+            raised += 1
+            with pytest.raises(MissingAmplitudeError):
+                amplitude(s, asg)
+        else:
+            got = amplitude(s, asg)
+            assert abs(got.c1 - want.c1) < 1e-12 and abs(got.c2 - want.c2) < 1e-12
+    assert 0 < raised < 300
+
+
+def test_normalization_check_at_thirty_slots():
+    # Enumerating the paths would take 6**28 products per (i, j) pair.
+    rng = random.Random(30)
+    labels = frozenset(range(1, 7))
+    setup = SetupSpec(
+        tuple([labels] * 30), tuple(unitary_table(rng, labels) for _ in range(29))
+    )
+    report = normalization_check(setup)
+    assert report.qualifies
+    assert all(abs(t - 1.0) < 1e-12 for t in report.totals.values())
+    assert report.max_interleave_deviation < 1e-12
