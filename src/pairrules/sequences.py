@@ -426,19 +426,31 @@ def setup_from_json(data: dict) -> SetupSpec:
      "setup_id": "optional"}
 
     Labels, in slots and in tables, are positive JSON integers: no float, not
-    even 2.0, and no boolean.
+    even 2.0, and no boolean.  Table k holds at most one row per (from, to),
+    with from in slot k and to in slot k + 1.
     """
     try:
         slots = tuple(frozenset(map(_label, slot)) for slot in data["slots"])
         tables = []
-        for raw in data["tables"]:
+        for k, raw in enumerate(data["tables"]):
             table: dict[tuple[int, int], Pair] = {}
             for src, dst, c1, c2 in raw:
-                table[(_label(src), _label(dst))] = Pair(float(c1), float(c2))
+                key = (_label(src), _label(dst))
+                if key in table:
+                    raise SequenceError(f"table {k} repeats the row for {list(key)}")
+                table[key] = Pair(float(c1), float(c2))
             tables.append(table)
     except (KeyError, TypeError, ValueError) as exc:
         raise SequenceError(f"malformed set-up description: {exc}") from exc
-    return SetupSpec(slots, tuple(tables), str(data.get("setup_id", "setup")))
+    setup = SetupSpec(slots, tuple(tables), str(data.get("setup_id", "setup")))
+    for k, table in enumerate(tables):
+        for src, dst in table:
+            if src not in slots[k] or dst not in slots[k + 1]:
+                raise SequenceError(
+                    f"table {k} row {[src, dst]} is not from slot {k} {sorted(slots[k])} "
+                    f"to slot {k + 1} {sorted(slots[k + 1])}"
+                )
+    return setup
 
 
 def sequences_from_json(data, setup: SetupSpec) -> list[Sequence]:

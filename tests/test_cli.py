@@ -77,6 +77,12 @@ def test_eliminate_cell(capsys):
     assert code == EXIT_MALFORMED
 
 
+def test_eliminate_c2_identity_rejects_at_every_seed(capsys):
+    code, out, _ = run(capsys, "eliminate", "C2", "identity", "--seed", "1")
+    assert code == EXIT_OK
+    assert out == "C2 / identity -> rejected-inadmissible-exponents\n"
+
+
 def test_derive(capsys):
     code, out, _ = run(capsys, "derive")
     assert code == EXIT_OK
@@ -249,6 +255,15 @@ UNIT = [[1, 1, 0.6, 0.0], [1, 2, 0.8, 0.0], [2, 1, -0.8, 0.0], [2, 2, 0.6, 0.0]]
         # a negative label and a slot that is no array
         ({"slots": [[-1, 2], [1, 2]], "tables": [UNIT]}, [[2, 2]]),
         ({"slots": [3, [1, 2]], "tables": [UNIT]}, [[1, 1]]),
+        # a repeated (from, to) row, and rows whose labels lie outside the slots
+        ({"slots": [[1, 2], [1, 2]], "tables": [UNIT + [[1, 1, 5.0, 0.0]]]}, [[1, 1]]),
+        ({"slots": [[1, 2], [1, 2]], "tables": [UNIT + [[1, 1, 0.6, 0.0]]]}, [[1, 1]]),
+        ({"slots": [[1, 2], [1, 2]], "tables": [UNIT + [[3, 1, 1.0, 0.0]]]}, [[1, 1]]),
+        ({"slots": [[1, 2], [1, 2]], "tables": [UNIT + [[2, 7, 1.0, 0.0]]]}, [[1, 1]]),
+        ({"slots": [[1, 2], [1, 2]], "tables": [UNIT + [[1, 1, 5.0, 0.0], [2, 7, 1.0, 0.0]]]},
+         [[1, 1]]),
+        ({"slots": [[1, 2], [1, 2], [1, 2]], "tables": [UNIT, UNIT + [[3, 3, 1.0, 0.0]]]},
+         [[1, 1, 1]]),
     ],
 )
 def test_simulate_malformed_labels_exit_64(tmp_path, capsys, setup, seqs):

@@ -21,6 +21,10 @@ from pairrules.reciprocity import (
     RejectedNonInvertible,
     SWAP,
     ReciprocityOp,
+    _SAMPLES,
+    _exponent_grid,
+    _residual_draws,
+    _residuals,
     antihom_residual,
     eliminate,
     name_of,
@@ -284,6 +288,59 @@ def test_eliminate_keeps_exponents_below_a_tolerance_under_float_rounding():
             assert c.verdict.revalidate(c.operator)
             # the premise h(a) + h(b) = 1 holds only up to float rounding
             assert c.verdict.revalidate(c.operator, tol=1e-16)
+
+
+def test_eliminate_c2_identity_is_seed_independent():
+    # The grid's only hit is (2, 0), which leaves h blind to x2.  Nearby
+    # betas have residuals as small, and any beta != 0 would make h
+    # admissible and the cell "accepted".
+    wrong = {}
+    for seed in range(60):
+        v = eliminate(StandardForm.C2, IDENTITY, seed=seed)
+        got = (v.verdict, getattr(v, "exponents", None))
+        if got != ("rejected-inadmissible-exponents", ((2.0, 0.0),)):
+            wrong[seed] = got
+    assert wrong == {}
+
+
+# The compass search that refined every grid hit before eliminate became a
+# single grid pass, kept as an oracle: on the cells the paper's table rests
+# on, it never moves a hit, so the grid alone decides them.
+
+
+def reference_polish(form, r, start, draws):
+    """Compass search refining an exponent candidate; deterministic via fixed draws."""
+
+    def f(pt):  # NaN, an unreachable premise, never improves
+        return float(_residuals(form, r, np.array([pt]), draws)[0])
+
+    pt = start
+    best = f(pt)
+    step = 0.05
+    while step > 1e-10:
+        improved = False
+        for i in range(len(pt)):
+            for sgn in (1.0, -1.0):
+                cand = tuple(v + (sgn * step if j == i else 0.0) for j, v in enumerate(pt))
+                val = f(cand)
+                if val < best:
+                    best, pt = val, cand
+                    improved = True
+        if not improved:
+            step /= 2.0
+    return pt, best
+
+
+@pytest.mark.parametrize("form, r", [(StandardForm.C1, CONJUGATION), (StandardForm.C3, IDENTITY)])
+def test_reference_polish_leaves_every_grid_hit_in_place(form, r):
+    grid = _exponent_grid(form)
+    for seed in range(10):
+        draws = _residual_draws(form, random.Random(seed), _SAMPLES)
+        residuals = _residuals(form, r, np.array(grid), draws)
+        hits = [pt for pt, res in zip(grid, residuals) if res < 1e-6]
+        assert sorted(hits) == ([(2.0,)] if form is StandardForm.C1 else [(0.0, 2.0), (2.0, 0.0)])
+        for pt in hits:
+            assert reference_polish(form, r, pt, draws)[0] == pt
 
 
 # The symbolic solve that solve_reciprocity's closed form replaced, kept as
