@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 non-associative input to classify/reduce, 3 derivation
 table deviates from the expected verdicts or reaches none, or an internal
 consistency check fails (a combination law in check-symmetries included), 64
-malformed input or a usage error, 65 missing amplitude entry.
+malformed input or a usage error (a simulate amplitude, probability or total
+probability that overflows to a non-finite value included), 65 missing
+amplitude entry.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import __version__
 from .associativity import NotAssociative, classification_to_json, classify
 from .born import h_eval, solution_family_for
 from .config import RunConfig
-from .pairs import DEFAULT_TOL, GammaVector, StandardForm
+from .pairs import DEFAULT_TOL, GammaVector, NonFiniteError, StandardForm
 from .reciprocity import (
     OPERATOR_NAMES,
     ReciprocityOp,
@@ -191,10 +193,17 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         for s in seqs:
             a = amplitude(s, asg)
             p = h_eval(BORN, a)
+            if not math.isfinite(p):
+                raise CliError(f"probability of {s} is not finite: {p}")
             results.append({"sequence": s.to_json(), "amplitude": a.to_json(), "probability": p})
         norm = normalization_check(setup)
     except MissingAmplitudeError as exc:
         raise CliError(str(exc), EXIT_MISSING_AMPLITUDE) from exc
+    except NonFiniteError as exc:
+        raise CliError(str(exc)) from exc
+    for i, total in norm.totals.items():
+        if not math.isfinite(total):
+            raise CliError(f"total probability from initial label {i} is not finite: {total}")
     text = ""
     if cfg.output_format == "text":
         lines = [

@@ -13,17 +13,24 @@ factors at every slot: the amplitude of reaching label d at slot k+1 is the
 sum over labels x at slot k of the amplitude of reaching x times the
 transition x -> d.  That is O(slots * labels^2) work in place of one product
 per path, O(labels^slots).
+
+Each transition table has one run-time form.  `AmplitudeAssignment` turns the
+pairs it is given into Python complex numbers keyed by (from, to), once, at
+construction; complex(c1, c2) is exact, so no float changes.  `amplitude`
+multiplies those entries directly, and `normalization_check` builds its
+unitarity matrices from the same entries.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .pairs import Pair, StandardForm
+from .pairs import NonFiniteError, Pair, StandardForm
 from .born import HFunction, h_eval
 
 
@@ -149,28 +156,31 @@ def series(a: Sequence, b: Sequence) -> Sequence:
 TransitionTable = Mapping[tuple[int, int], Pair]
 
 
-@dataclass(frozen=True)
 class AmplitudeAssignment:
-    """Per-interval tables mapping (label at slot k, label at slot k+1) to a pair.
+    """Per-interval tables mapping (label at slot k, label at slot k+1) to an amplitude.
 
+    Built from tables of pairs, and held in one form only: each pair
+    (c1, c2) becomes complex(c1, c2) once, here, keyed by (from, to).  That
+    conversion is exact, so every later reading gives the same floats.
     Tables depend only on adjacent slots, never on earlier outcomes; that is
     how the closure of atomic measurements is encoded structurally.
     """
 
-    tables: tuple[TransitionTable, ...]
-
-    def table_for(self, interval: int) -> TransitionTable:
-        if interval >= len(self.tables):
-            raise MissingAmplitudeError(f"no table for interval {interval}")
-        return self.tables[interval]
+    def __init__(self, tables: Iterable[TransitionTable]):
+        self.tables = tuple({k: complex(p.c1, p.c2) for k, p in t.items()} for t in tables)
 
     def entry(self, interval: int, src: int, dst: int) -> Pair:
+        if interval >= len(self.tables):
+            raise MissingAmplitudeError(f"no table for interval {interval}")
         try:
-            return self.table_for(interval)[(src, dst)]
+            z = self.tables[interval][src, dst]
         except KeyError:
-            raise MissingAmplitudeError(
-                f"no amplitude for transition {src} -> {dst} on interval {interval}"
-            ) from None
+            raise _missing(interval, src, dst) from None
+        return Pair(z.real, z.imag)
+
+
+def _missing(k: int, src: int, dst: int) -> MissingAmplitudeError:
+    return MissingAmplitudeError(f"no amplitude for transition {src} -> {dst} on interval {k}")
 
 
 def amplitude(s: Sequence, asg: AmplitudeAssignment) -> Pair:
@@ -191,16 +201,20 @@ def amplitude(s: Sequence, asg: AmplitudeAssignment) -> Pair:
         )
     v = {x: 1 + 0j for x in s.outcomes[0].labels}
     for k, o in enumerate(s.outcomes[1:]):
-        src = sorted(v)
+        table, src = asg.tables[k], sorted(v.items())
         nxt = {}
-        for d in sorted(o.labels):
-            acc = 0j
-            for x in src:
-                p = asg.entry(k, x, d)
-                acc += v[x] * complex(p.c1, p.c2)
-            nxt[d] = acc
+        try:
+            for d in sorted(o.labels):
+                acc = 0j
+                for x, a in src:
+                    acc += a * table[x, d]
+                nxt[d] = acc
+        except KeyError:
+            raise _missing(k, x, d) from None
         v = nxt
     (z,) = v.values()
+    if not cmath.isfinite(z):
+        raise NonFiniteError(f"amplitude of {s} is not finite: {z}")
     return Pair(z.real, z.imag)
 
 
@@ -245,16 +259,10 @@ class SetupSpec:
                 )
 
 
-def _table_matrix(table: TransitionTable, src: frozenset[int], dst: frozenset[int]) -> np.ndarray:
-    """The interval table as a complex matrix, column per source label."""
-    src_l, dst_l = sorted(src), sorted(dst)
-    m = np.zeros((len(dst_l), len(src_l)), dtype=complex)
-    for i, d in enumerate(dst_l):
-        for j, s in enumerate(src_l):
-            p = table.get((s, d))
-            if p is not None:
-                m[i, j] = complex(p.c1, p.c2)
-    return m
+def _table_matrix(table: Mapping[tuple[int, int], complex], labels: frozenset[int]) -> np.ndarray:
+    """A square interval table as a complex matrix, column per source label."""
+    ls = sorted(labels)
+    return np.array([[table.get((s, d), 0j) for s in ls] for d in ls], dtype=complex)
 
 
 def identity_table(labels: Iterable[int]) -> dict[tuple[int, int], Pair]:
@@ -271,7 +279,7 @@ class NormalizationReport:
     unitary_intervals: tuple[bool, ...]
     qualifies: bool
     totals: dict[int, float]
-    max_total_deviation: float
+    max_total_deviation: Optional[float]  # None when the tables do not qualify
     max_interleave_deviation: float
 
     def to_json(self) -> dict:
@@ -293,17 +301,20 @@ def normalization_check(setup: SetupSpec) -> NormalizationReport:
     label i, and splicing in a trivial coarse measurement with an identity
     interval table changes no probability.
     """
+    asg = setup.assignment()
     unitary_flags = []
-    for k, table in enumerate(setup.tables):
+    for k, table in enumerate(asg.tables):
         src, dst = setup.slots[k], setup.slots[k + 1]
         if src != dst:
             unitary_flags.append(False)
             continue
-        m = _table_matrix(table, src, dst)
-        unitary_flags.append(bool(np.allclose(m.conj().T @ m, np.eye(len(src)), atol=1e-9)))
+        m = _table_matrix(table, src)
+        # An entry large enough to overflow m^H m is far from unitary, and the
+        # inf or nan it leaves fails the comparison: no warning is needed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            unitary_flags.append(bool(np.allclose(m.conj().T @ m, np.eye(len(src)), atol=1e-9)))
     qualifies = all(unitary_flags)
 
-    asg = setup.assignment()
     full_interior = [Outcome(s) for s in setup.slots[1:-1]]
     base_p: dict[tuple[int, int], float] = {}
     totals: dict[int, float] = {}
@@ -314,7 +325,7 @@ def normalization_check(setup: SetupSpec) -> NormalizationReport:
             base_p[i, j] = probability(s, asg)
             total += base_p[i, j]
         totals[i] = total
-    max_dev = max(abs(t - 1.0) for t in totals.values()) if qualifies else float("nan")
+    max_dev = max(abs(t - 1.0) for t in totals.values()) if qualifies else None
 
     mid = len(setup.slots) // 2
     widened_tables = (

@@ -272,3 +272,39 @@ def test_simulate_malformed_labels_exit_64(tmp_path, capsys, setup, seqs):
     assert code == EXIT_MALFORMED
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _overflow_setup(entry):
+    # Every amplitude of [1; 1; 1] is entry ** 2 and its probability entry ** 4.
+    row = [[1, 1, entry, 0.0]]
+    return {"slots": [[1], [1], [1]], "tables": [row, row]}
+
+
+# The second final label doubles a total of 1e308 past the largest float.
+TOTAL_OVERFLOW = {
+    "slots": [[1], [1], [1, 2]],
+    "tables": [[[1, 1, 1e77, 0.0]], [[1, 1, 1e77, 0.0], [1, 2, 1e77, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "setup, seqs",
+    [
+        # the amplitude overflows, in a sequence and in normalization_check alone
+        (_overflow_setup(1e200), [[1, 1, 1]]),
+        (_overflow_setup(1e200), []),
+        # the amplitude is finite, its probability is not
+        (_overflow_setup(1e100), [[1, 1, 1]]),
+        (_overflow_setup(1e100), []),
+        # every probability is finite, a total is not
+        (TOTAL_OVERFLOW, [[1, 1, 1], [1, 1, 2]]),
+    ],
+)
+def test_simulate_non_finite_output_exits_64(tmp_path, capsys, setup, seqs, fmt):
+    sp, qp = write_inputs(tmp_path, setup=setup, seqs=seqs)
+    code, out, err = run(capsys, "simulate", sp, qp, "--format", fmt)
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err

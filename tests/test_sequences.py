@@ -356,3 +356,59 @@ def test_normalization_check_at_thirty_slots():
     assert report.qualifies
     assert all(abs(t - 1.0) < 1e-12 for t in report.totals.values())
     assert report.max_interleave_deviation < 1e-12
+
+
+def test_normalization_check_at_fifty_slots_sixteen_labels():
+    rng = random.Random(50)
+    labels = frozenset(range(1, 17))
+    setup = SetupSpec(
+        tuple([labels] * 50), tuple(unitary_table(rng, labels) for _ in range(49))
+    )
+    report = normalization_check(setup)
+    assert report.qualifies
+    assert all(abs(t - 1.0) < 1e-12 for t in report.totals.values())
+    assert report.max_interleave_deviation == 0.0
+
+
+def test_entry_returns_the_input_pair_bit_for_bit():
+    values = (0.0, -0.0, 0.1, -0.7, 5e-324, -1.7976931348623157e308, 2.0 / 3.0)
+    rng = random.Random(9)
+    tables = tuple(
+        {(s, d): Pair(rng.choice(values), rng.choice(values)) for s in (1, 2) for d in (1, 2)}
+        for _ in range(3)
+    )
+    tables[0][1, 1] = Pair(-0.0, -0.0)
+    asg = AmplitudeAssignment(tables)
+    for k, table in enumerate(tables):
+        for (x, d), p in table.items():
+            got = asg.entry(k, x, d)
+            assert type(got) is Pair
+            assert (got.c1.hex(), got.c2.hex()) == (p.c1.hex(), p.c2.hex())
+
+
+def test_missing_amplitude_messages_name_the_first_missing_transition():
+    # A hole in a row: slot 2 is evaluated for d = 2 before d = 3, and for
+    # each d over x = 1, 2, 3, so (3, 2) is met before (1, 3).
+    labels = (1, 2, 3)
+    full = {(s, d): Pair(0.5, 0.0) for s in labels for d in labels}
+    holed = {key: p for key, p in full.items() if key not in ((3, 2), (1, 3))}
+    asg = AmplitudeAssignment((full, holed, full))
+    seq = Sequence.of("s", 1, (1, 2, 3), (2, 3), 1)
+    with pytest.raises(MissingAmplitudeError) as exc:
+        amplitude(seq, asg)
+    assert str(exc.value) == "no amplitude for transition 3 -> 2 on interval 1"
+    with pytest.raises(MissingAmplitudeError) as exc:
+        asg.entry(1, 1, 3)
+    assert str(exc.value) == "no amplitude for transition 1 -> 3 on interval 1"
+
+    # A missing table: too few tables, or an empty one.
+    short = AmplitudeAssignment((full,))
+    with pytest.raises(MissingAmplitudeError) as exc:
+        amplitude(Sequence.of("s", 1, 2, 3), short)
+    assert str(exc.value) == "sequence spans 2 intervals but only 1 tables given"
+    with pytest.raises(MissingAmplitudeError) as exc:
+        short.entry(1, 2, 3)
+    assert str(exc.value) == "no table for interval 1"
+    with pytest.raises(MissingAmplitudeError) as exc:
+        amplitude(Sequence.of("s", 1, (2, 3), 3), AmplitudeAssignment((full, {})))
+    assert str(exc.value) == "no amplitude for transition 2 -> 3 on interval 1"
