@@ -24,6 +24,7 @@ unitarity matrices from the same entries.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
@@ -51,6 +52,19 @@ def _label(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int) or x < 1:
         raise SequenceError(f"labels must be positive integers, got {x!r}")
     return x
+
+
+def _component(x) -> float:
+    """x as a float if it is a JSON number, not a bool, and finite as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SequenceError(f"amplitude components must be numbers, got {x!r}")
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise SequenceError(f"amplitude components must be finite, got {f!r}")
+    return f
 
 
 @dataclass(frozen=True)
@@ -437,8 +451,9 @@ def setup_from_json(data: dict) -> SetupSpec:
      "setup_id": "optional"}
 
     Labels, in slots and in tables, are positive JSON integers: no float, not
-    even 2.0, and no boolean.  Table k holds at most one row per (from, to),
-    with from in slot k and to in slot k + 1.
+    even 2.0, and no boolean.  The components c1 and c2 are JSON numbers,
+    integer or not, finite as floats: no string and no boolean.  Table k holds
+    at most one row per (from, to), with from in slot k and to in slot k + 1.
     """
     try:
         slots = tuple(frozenset(map(_label, slot)) for slot in data["slots"])
@@ -449,7 +464,7 @@ def setup_from_json(data: dict) -> SetupSpec:
                 key = (_label(src), _label(dst))
                 if key in table:
                     raise SequenceError(f"table {k} repeats the row for {list(key)}")
-                table[key] = Pair(float(c1), float(c2))
+                table[key] = Pair(_component(c1), _component(c2))
             tables.append(table)
     except (KeyError, TypeError, ValueError) as exc:
         raise SequenceError(f"malformed set-up description: {exc}") from exc
@@ -465,15 +480,35 @@ def setup_from_json(data: dict) -> SetupSpec:
 
 
 def sequences_from_json(data, setup: SetupSpec) -> list[Sequence]:
-    """Parse sequences as arrays of outcomes (a label or an array of labels)."""
+    """Parse sequences as arrays of outcomes (a label or an array of labels).
+
+    Each distinct outcome is built once per call and shared by every sequence
+    that holds it: a batch over a few labels repeats a handful of outcomes
+    many times.  Only an exact int, or a list of exact ints, is looked up, so
+    True and 1.0, which equal 1, never reach the outcome of 1; they are built,
+    and refused, as if no earlier row held a 1.
+    """
     if not isinstance(data, list):
         raise SequenceError("sequences file must hold an array of sequences")
+    built: dict = {}
+
+    def outcome(o) -> Outcome:
+        if type(o) is int:
+            key = o
+        elif type(o) is list and all(type(x) is int for x in o):
+            key = tuple(o)
+        else:
+            return _as_outcome(o)
+        if key not in built:
+            built[key] = _as_outcome(o)
+        return built[key]
+
     out = []
     for raw in data:
         if not isinstance(raw, list):
             raise SequenceError("each sequence must be an array of outcomes")
         try:
-            seq = Sequence.of(setup.setup_id, *raw)
+            seq = Sequence(setup.setup_id, tuple(map(outcome, raw)))
         except TypeError as exc:
             raise SequenceError(f"malformed sequence {raw}: {exc}") from exc
         setup.validate_sequence(seq)

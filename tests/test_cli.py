@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pairrules import cli
 from pairrules.cli import (
@@ -264,6 +267,11 @@ UNIT = [[1, 1, 0.6, 0.0], [1, 2, 0.8, 0.0], [2, 1, -0.8, 0.0], [2, 2, 0.6, 0.0]]
          [[1, 1]]),
         ({"slots": [[1, 2], [1, 2], [1, 2]], "tables": [UNIT, UNIT + [[3, 3, 1.0, 0.0]]]},
          [[1, 1, 1]]),
+        # a valid label in an earlier sequence, then a value equal to it: a
+        # parse that reuses outcomes by value would accept the second
+        (SETUP, [[1, 1], [True, 1]]),
+        (SETUP, [[1, 1], [[1, True], 1]]),
+        (SETUP, [[2, 1], [2.0, 1]]),
     ],
 )
 def test_simulate_malformed_labels_exit_64(tmp_path, capsys, setup, seqs):
@@ -308,3 +316,67 @@ def test_simulate_non_finite_output_exits_64(tmp_path, capsys, setup, seqs, fmt)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("column", [2, 3])
+@pytest.mark.parametrize(
+    "component",
+    ["1" + "0" * 400, "1" + "0" * 5000, '"0.6"', "true", "null", "[0.6]", "1e400", "NaN"],
+    ids=["int-1e400", "int-5001-digits", "string", "true", "null", "array", "float-1e400", "nan"],
+)
+def test_simulate_component_must_be_finite_number(tmp_path, capsys, component, column):
+    # Written as JSON text: json.dumps refuses an int of more than 4300 digits.
+    row = ["2", "2", "0.6", "0.0"]
+    row[column] = component
+    rows = [json.dumps(r) for r in UNIT[:3]] + ["[" + ", ".join(row) + "]"]
+    sp, qp = write_inputs(tmp_path)
+    with open(sp, "w") as fh:
+        fh.write('{"slots": [[1, 2], [1, 2]], "tables": [[' + ", ".join(rows) + "]]}")
+    code, out, err = run(capsys, "simulate", sp, qp)
+    assert code == EXIT_MALFORMED
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_integer_components_read_as_floats(tmp_path, capsys):
+    setup = {"slots": [[1], [1]], "tables": [[[1, 1, 1, 0]]]}
+    sp, qp = write_inputs(tmp_path, setup=setup, seqs=[[1, 1]])
+    code, out, _ = run(capsys, "simulate", sp, qp, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"][0]["amplitude"] == [1.0, 0.0]
+
+
+# Strings and keys with non-ASCII, control, quote and backslash characters,
+# beside whatever hypothesis draws.
+_texts = st.one_of(st.text(), st.sampled_from(["", "\x00\x1f", '"\\', "\u2028é", "\U0001f600"]))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**64) - 1, 10**40]),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf]),
+    _texts,
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_texts, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+def test_render_matches_stdlib_json(value):
+    assert cli._render(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [{1: 2}, {"a": [{None: 1}]}, {"a": 1, 2.0: 3}, [object()], {"a": {1, 2}}]
+)
+def test_render_rejects_what_json_cannot_hold(value):
+    with pytest.raises(TypeError):
+        cli._render(value)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pairrules.pairs import Pair, complex_mul, pair_add
 from pairrules.sequences import (
@@ -256,6 +258,75 @@ def test_setup_json_round_trip():
         sequences_from_json({"not": "a list"}, setup)
     with pytest.raises(SequenceError):
         setup_from_json({"slots": [[1]]})
+
+
+def uncached_sequences_from_json(data, setup):
+    """The parse that builds every outcome anew, row by row: the reference."""
+    if not isinstance(data, list):
+        raise SequenceError("sequences file must hold an array of sequences")
+    out = []
+    for raw in data:
+        if not isinstance(raw, list):
+            raise SequenceError("each sequence must be an array of outcomes")
+        try:
+            seq = Sequence.of(setup.setup_id, *raw)
+        except TypeError as exc:
+            raise SequenceError(f"malformed sequence {raw}: {exc}") from exc
+        setup.validate_sequence(seq)
+        out.append(seq)
+    return out
+
+
+# Rows that parse, mixed with rows that hold values equal to a valid label
+# (True, 1.0, 2.0), nested and duplicate lists: a parse that reuses the
+# outcomes of earlier rows by value gets the chance to merge them.
+_labels_1_3 = st.integers(1, 3)
+_atomic = st.one_of(_labels_1_3, st.lists(_labels_1_3, min_size=1, max_size=1))
+_valid_rows = st.tuples(
+    _atomic, st.one_of(_labels_1_3, st.lists(_labels_1_3, min_size=1, max_size=4)), _atomic
+).map(list)
+_raw_labels = st.one_of(
+    st.integers(-1, 4), st.sampled_from([True, False, 1.0, 2.0, 2.5, None, "1"])
+)
+_raw_outcomes = st.one_of(
+    _raw_labels,
+    st.lists(_raw_labels, max_size=4),
+    st.lists(st.lists(_labels_1_3, max_size=2), max_size=2),
+)
+
+
+def _with_outcome(row, i, o):
+    return row[:i] + [o] + row[i + 1:]
+
+
+_odd_rows = st.one_of(
+    st.builds(_with_outcome, _valid_rows, st.integers(0, 2), _raw_outcomes),
+    st.lists(_raw_outcomes, max_size=4),
+    _raw_outcomes,
+)
+_raw_rows = st.builds(
+    lambda head, odd, tail: head + odd + tail,
+    st.lists(_valid_rows, max_size=5),
+    st.lists(_odd_rows, max_size=1),
+    st.lists(_valid_rows, max_size=2),
+)
+_SLOTS_3x3 = setup_from_json({
+    "slots": [[1, 2, 3]] * 3,
+    "tables": [[[s, d, 0.5, 0.0] for s in (1, 2, 3) for d in (1, 2, 3)]] * 2,
+    "setup_id": "s",
+})
+
+
+@given(_raw_rows)
+def test_sequences_from_json_matches_uncached_parse(rows):
+    try:
+        expected = uncached_sequences_from_json(rows, _SLOTS_3x3)
+    except SequenceError as exc:
+        with pytest.raises(SequenceError) as got:
+            sequences_from_json(rows, _SLOTS_3x3)
+        assert str(got.value) == str(exc)
+    else:
+        assert sequences_from_json(rows, _SLOTS_3x3) == expected
 
 
 def test_normalization_check_evaluates_each_base_amplitude_once(monkeypatch):
