@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 non-associative input to classify/reduce, 3 derivation
 table deviates from the expected verdicts or reaches none, or an internal
 consistency check fails (a combination law in check-symmetries included), 64
 malformed input or a usage error (a simulate amplitude, probability or total
-probability that overflows to a non-finite value included), 65 missing
-amplitude entry.
+probability that overflows to a non-finite value included, and an --out path
+that cannot be written), 65 missing amplitude entry.
 """
 
 from __future__ import annotations
@@ -142,8 +142,11 @@ def _emit(payload: dict, text: str, cfg: RunConfig, out: Optional[str]) -> None:
     else:
         rendered = text if text.endswith("\n") else text + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise CliError(f"cannot write report to {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(rendered)
 

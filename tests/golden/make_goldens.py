@@ -83,6 +83,8 @@ def cases() -> dict[str, list[str]]:
         "derive_json_seed0": ["derive", "--format", "json"],
         "derive_json_seed7": ["derive", "--format", "json", "--seed", "7"],
     }
+    for seed in (1, 2, 3, 42):
+        out[f"derive_json_seed{seed}"] = ["derive", "--format", "json", "--seed", str(seed)]
     for fmt in ("text", "json"):
         for form in ("C1", "C2", "C3"):
             out[f"solve_reciprocity_{form}_{fmt}"] = ["solve-reciprocity", form, "--format", fmt]

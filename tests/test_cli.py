@@ -113,6 +113,38 @@ def test_out_file(tmp_path, capsys):
     assert payload["classification"]["family"] == "commutative_a"
 
 
+def _argv_per_subcommand(tmp_path):
+    sp, qp = write_inputs(tmp_path)
+    return {
+        "classify": ["classify", *C1],
+        "reduce": ["reduce", *C1],
+        "solve-h": ["solve-h", "C1"],
+        "solve-reciprocity": ["solve-reciprocity", "C1"],
+        "eliminate": ["eliminate", "C2", "projection"],
+        "derive": ["derive"],
+        "simulate": ["simulate", sp, qp],
+        "check-symmetries": ["check-symmetries", "--samples", "5"],
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "classify", "reduce", "solve-h", "solve-reciprocity",
+        "eliminate", "derive", "simulate", "check-symmetries",
+    ],
+)
+def test_unwritable_out_exits_64_without_traceback(tmp_path, capsys, command, fmt):
+    argv = _argv_per_subcommand(tmp_path)[command]
+    for target in (tmp_path / "absent" / "report.out", tmp_path):  # missing dir, a directory
+        code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(target))
+        assert code == EXIT_MALFORMED
+        assert out == ""
+        assert err.startswith("error: cannot write report ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 SETUP = {
     "slots": [[1, 2], [1, 2]],
     "tables": [

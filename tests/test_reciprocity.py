@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from pairrules import reciprocity
 from pairrules.born import HFunction
-from pairrules.pairs import Pair, StandardForm, _product
+from pairrules.pairs import DEFAULT_TOL, ROUNDING_FLOOR, Pair, StandardForm, _product
 from pairrules.reciprocity import (
     Accepted,
     CONJUGATION,
@@ -25,6 +27,7 @@ from pairrules.reciprocity import (
     _exponent_grid,
     _residual_draws,
     _residuals,
+    _verdict,
     antihom_residual,
     eliminate,
     name_of,
@@ -341,6 +344,66 @@ def test_reference_polish_leaves_every_grid_hit_in_place(form, r):
         assert sorted(hits) == ([(2.0,)] if form is StandardForm.C1 else [(0.0, 2.0), (2.0, 0.0)])
         for pt in hits:
             assert reference_polish(form, r, pt, draws)[0] == pt
+
+
+# The single full-grid pass that eliminate's screen-and-confirm replaced,
+# kept as an oracle: every grid row on every premise draw.
+
+
+def reference_eliminate(form, r, tol=DEFAULT_TOL, seed=0):
+    """eliminate with the unscreened candidate step."""
+    if not r.invertible:
+        return RejectedNonInvertible(r)
+    draws = _residual_draws(form, random.Random(seed), _SAMPLES)
+    grid = _exponent_grid(form)
+    bound = min(1e-6, max(tol, ROUNDING_FLOOR))
+    residuals = _residuals(form, r, np.array(grid), draws)
+    candidates = [pt for pt, res in zip(grid, residuals) if res < bound]  # NaN never passes
+    return _verdict(form, r, candidates, tol, seed)
+
+
+@pytest.mark.parametrize("form", list(StandardForm), ids=lambda f: f.value)
+@pytest.mark.parametrize("r", [IDENTITY, CONJUGATION, SWAP, PROJECTION], ids=name_of)
+def test_screened_eliminate_equals_the_full_grid_pass(form, r):
+    for seed in range(20):
+        assert eliminate(form, r, seed=seed).to_json() == reference_eliminate(form, r, seed=seed).to_json()
+
+
+@pytest.mark.parametrize("seeded, rand", [(0, 1), (1, 0), (1, 1)])
+def test_a_smaller_screen_gives_the_same_verdicts(monkeypatch, seeded, rand):
+    # Screens this small let through rows that only the confirm step rejects.
+    monkeypatch.setattr(reciprocity, "_SCREEN_SEEDED", seeded)
+    monkeypatch.setattr(reciprocity, "_SCREEN_RANDOM", rand)
+    for form in (StandardForm.C1, StandardForm.C2, StandardForm.C3):
+        for r, seed in itertools.product((IDENTITY, CONJUGATION, SWAP), range(3)):
+            assert eliminate(form, r, seed=seed).to_json() == reference_eliminate(form, r, seed=seed).to_json()
+
+
+def test_rows_the_screen_cannot_reach_go_on_to_the_confirm_step(monkeypatch):
+    rows = []
+
+    def unreachable_in_screen(form, r, exps, draws):
+        rows.append(len(exps))
+        res = _residuals(form, r, exps, draws)
+        return np.full_like(res, np.nan) if len(rows) == 1 else res
+
+    monkeypatch.setattr(reciprocity, "_residuals", unreachable_in_screen)
+    v = eliminate(StandardForm.C1, CONJUGATION)
+    assert rows == [len(_exponent_grid(StandardForm.C1))] * 2
+    assert v.to_json() == reference_eliminate(StandardForm.C1, CONJUGATION).to_json()
+
+
+@pytest.mark.parametrize("r, confirmed", [(IDENTITY, 2), (SWAP, 0)], ids=["identity", "swap"])
+def test_screen_leaves_few_c3_rows_to_confirm(monkeypatch, r, confirmed):
+    rows = []
+
+    def counted(form, r, exps, draws):
+        rows.append(len(exps))
+        return _residuals(form, r, exps, draws)
+
+    monkeypatch.setattr(reciprocity, "_residuals", counted)
+    eliminate(StandardForm.C3, r, seed=0)
+    assert rows == [len(_exponent_grid(StandardForm.C3)), confirmed]
 
 
 # The symbolic solve that solve_reciprocity's closed form replaced, kept as
